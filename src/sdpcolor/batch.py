@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .graphs import Graph, find_clique, parse_plantri_ascii
-from .heuristics import COLORED, FAILED, SolverError, heuristic1, heuristic2
+from .heuristics import COLORED, FAILED, heuristic1, heuristic2
 
 LONG_MODE_THRESHOLD = 11  # corpora with larger graphs require explicit opt-in
 NO_K4 = "no-k4"
@@ -52,13 +52,9 @@ def _run_one(args):
     g = Graph(n, frozenset(edges))
     start = time.perf_counter()
     runner = heuristic1 if algo == 1 else heuristic2
-    try:
-        outcome = runner(g, max_solves=max_solves)
-        status, solves = outcome.status, outcome.solve_count
-    except SolverError:
-        status, solves = "solver-error", 0
+    outcome = runner(g, max_solves=max_solves)
     elapsed = time.perf_counter() - start
-    return BatchRow(index, n, True, algo, status, solves, elapsed)
+    return BatchRow(index, n, True, algo, outcome.status, outcome.solve_count, elapsed)
 
 
 def _read_checkpoint(path) -> dict:

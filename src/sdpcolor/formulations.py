@@ -3,7 +3,7 @@
 The strict-vector-chromatic instance lives in dimension n+1; index 0 carries
 the shared edge value (so the objective is -z_00 and every edge forces
 z_ij = -z_00). Rank reports follow the n x n submatrix convention: row and
-column 0 are excluded, with full-matrix ranks logged alongside.
+column 0 are excluded.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ class SvcnSummary:
     objective: float  # the strict vector chromatic number (= -z_00)
     rank_primal: int  # n x n submatrix rank
     rank_dual: int
-    rank_primal_full: int
-    rank_dual_full: int
     solution: SdpSolution
 
     @property
@@ -170,7 +168,5 @@ def solve_svcn(g: Graph, tol: float = 1e-8,
         objective=sol.primal_obj,
         rank_primal=numerical_rank(sol.X[1:, 1:], tau),
         rank_dual=numerical_rank(sol.S[1:, 1:], tau),
-        rank_primal_full=numerical_rank(sol.X, tau),
-        rank_dual_full=numerical_rank(sol.S, tau),
         solution=sol,
     )

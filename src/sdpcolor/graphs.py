@@ -380,16 +380,6 @@ def is_ktree(g: Graph, k: int):
     return KTreeTrace(k, order, attach)
 
 
-def count_edges_triangles(g: Graph) -> tuple:
-    """Exact (edge count, triangle count) by enumeration."""
-    bits = g._adj_bits
-    triangles = 0
-    for i, j in g.edges:
-        above = ~((1 << j) - 1)
-        triangles += bin(bits[i] & bits[j] & above).count("1")
-    return len(g.edges), triangles
-
-
 # ---------------------------------------------------------------------------
 # Brute-force coloring oracles
 # ---------------------------------------------------------------------------

@@ -107,24 +107,3 @@ def gram_factor(a: np.ndarray, rank_hint: int | None = None) -> np.ndarray:
 
 def min_eigenvalue(a) -> float:
     return float(_eigenvalues(a)[-1])
-
-
-# Debug fixture format: first line "dim", then dim whitespace-separated rows.
-
-def format_matrix(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=float)
-    rows = [" ".join(repr(float(x)) for x in row) for row in a]
-    return "\n".join([str(a.shape[0])] + rows) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    dim = int(lines[0])
-    if len(lines) != dim + 1:
-        raise ValueError(f"expected {dim} rows, found {len(lines) - 1}")
-    a = np.array([[float(x) for x in ln.split()] for ln in lines[1:]])
-    if a.shape != (dim, dim):
-        raise ValueError("row length does not match declared dimension")
-    return a

@@ -8,6 +8,19 @@ symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
 the dense m x m Schur complement each iteration. It is deterministic and
 degrades gracefully (best-iterate return) on problems whose feasible set has
 an empty interior.
+
+One pass decides the status. Relative primal and dual residuals and the
+relative duality gap are measured at every iterate; an iterate passes a
+tolerance when all three are within it. The solve returns, in this order:
+
+- optimal: an iterate passing tol, the one with the smallest X . S among the
+  first five iterates from the first one that passes;
+- inaccurate: failing that, the same choice at 10 * tol;
+- inaccurate: failing that, the best-merit iterate when its residuals are
+  within 10 * tol and its gap within 1000 * tol;
+- max-iterations or numerical-failure: otherwise, the best-merit iterate,
+  named after what stopped the loop (the iteration cap or a stall, or a
+  non-finite direction).
 """
 
 from __future__ import annotations
@@ -26,11 +39,16 @@ from .linalg import (
 )
 
 OPTIMAL = "optimal"
+INACCURATE = "inaccurate"
 MAX_ITERATIONS = "max-iterations"
 NUMERICAL_FAILURE = "numerical-failure"
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+_WINDOW = 5  # iterates compared once a tolerance is first met
+_RELAXED = 10.0  # inaccurate: residuals within _RELAXED * tol ...
+_RELAXED_GAP = 1000.0  # ... and duality gap within _RELAXED_GAP * tol
+_REFINE_STEPS = 2
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 
 
@@ -142,21 +160,51 @@ class _Factor:
             return sla.cho_solve(self._cho, h, check_finite=False)
         return sla.lu_solve(self._lu, h, check_finite=False)
 
-    def solve(self, h: np.ndarray, refine: int = 2) -> np.ndarray:
+    def solve(self, h: np.ndarray) -> np.ndarray:
         x = self._apply(h)
-        for _ in range(refine):
+        for _ in range(_REFINE_STEPS):
             if not np.all(np.isfinite(x)):
                 break
             x = x + self._apply(h - self.mat @ x)
         return x
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
-    """Solve the SDP; status is optimal, max-iterations, or numerical-failure.
+class _Window:
+    """The passing iterate with the smallest X . S among the first few.
 
-    Optimal means relative primal/dual residuals and duality gap are all below
-    tol. Non-optimal statuses return the best iterate seen, with residuals.
+    Stopping at first contact with the tolerance leaves complementary pairs
+    only half-resolved, which blurs rank counts, so the window stays open for
+    _WINDOW iterates from the first one that passes.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.iterate = None
+        self.xs = np.inf
+        self.seen = 0
+
+    @property
+    def closed(self) -> bool:
+        return self.seen >= _WINDOW
+
+    def offer(self, x, y, s, rel_p, rel_d, rel_gap):
+        if self.closed:
+            return
+        if rel_p <= self.tol and rel_d <= self.tol and rel_gap <= self.tol:
+            xs = _inner(x, s)
+            if xs < self.xs:
+                self.iterate = (x.copy(), y.copy(), s.copy())
+                self.xs = xs
+        if self.iterate is not None:
+            self.seen += 1
+
+
+def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
+    """Solve the SDP in one pass of at most DEFAULT_MAX_ITER iterations.
+
+    The status is optimal, inaccurate, max-iterations or numerical-failure,
+    chosen by the rules in the module docstring. Every status comes with the
+    returned iterate's residuals.
     """
     ell = problem.dim
     a_stack, b = problem.stacked()
@@ -185,12 +233,8 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     small_steps = 0
     diverging = 0
     gamma = _GAMMA_FLOOR
-    # Once the optimality criteria hold, run a few bonus iterations and keep
-    # the passing iterate with the smallest X.S: stopping at first contact
-    # leaves complementary pairs only half-resolved, which blurs rank counts.
-    candidate = None
-    candidate_xs = np.inf
-    extras = 0
+    strict = _Window(tol)
+    relaxed = _Window(_RELAXED * tol)
 
     def measure(x, y, s):
         rp = b - a_flat @ x.ravel()
@@ -204,21 +248,16 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
     center_next = False
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         rp, rd, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
         merit = max(rel_p, rel_d, rel_gap)
         if merit < best_merit:
             best_merit = merit
             best = (x.copy(), y.copy(), s.copy())
-        if rel_p <= tol and rel_d <= tol and rel_gap <= tol:
-            xs_now = _inner(x, s)
-            if xs_now < candidate_xs:
-                candidate = (x.copy(), y.copy(), s.copy())
-                candidate_xs = xs_now
-        if candidate is not None:
-            extras += 1
-            if extras >= 5:
-                break
+        relaxed.offer(x, y, s, rel_p, rel_d, rel_gap)
+        strict.offer(x, y, s, rel_p, rel_d, rel_gap)
+        if strict.closed:
+            break
         drifting = best_merit < 1e-4 and merit > 100.0 * best_merit
         diverging = diverging + 1 if drifting else 0
         if diverging >= 8:
@@ -279,13 +318,19 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         else:
             small_steps = 0
 
-    if candidate is not None:
-        x, y, s = candidate
+    if strict.iterate is not None:
+        x, y, s = strict.iterate
         status = OPTIMAL
-    elif status != OPTIMAL and best is not None:
+    elif relaxed.iterate is not None:
+        x, y, s = relaxed.iterate
+        status = INACCURATE
+    elif best is not None:
         x, y, s = best
 
-    rp, rd, pobj, dobj, *_ = measure(x, y, s)
+    rp, rd, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
+    if (status != OPTIMAL and max(rel_p, rel_d) <= _RELAXED * tol
+            and rel_gap <= _RELAXED_GAP * tol):
+        status = INACCURATE
     residuals = SdpResiduals(
         primal_inf=float(np.max(np.abs(rp))) if m else 0.0,
         dual_inf=float(np.max(np.abs(rd))),

@@ -11,7 +11,6 @@ from sdpcolor.graphs import (
     GraphParseError,
     chromatic_oracle,
     count_colorings,
-    count_edges_triangles,
     edge_list_text,
     enumerate_cliques,
     enumerate_colorings,
@@ -135,16 +134,14 @@ class TestKTrees:
 
     def test_triangle_count_formula(self):
         g, _ = generate_ktree(3, 10, seed=5)
-        _, triangles = count_edges_triangles(g)
-        assert triangles == (3 * 10 - 2 * 3) * 2 * 1 // 6 == 8
+        assert len(enumerate_cliques(g, 3)) == (3 * 10 - 2 * 3) * 2 * 1 // 6 == 8
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_counts_match_formulas(self, k):
         for n in range(k, 31, 7):
             g, trace = generate_ktree(k, n, seed=n * 13 + k)
-            edges, triangles = count_edges_triangles(g)
-            assert edges == (2 * n - k) * (k - 1) // 2
-            assert triangles == (3 * n - 2 * k) * (k - 1) * (k - 2) // 6
+            assert len(g.edges) == (2 * n - k) * (k - 1) // 2
+            assert len(enumerate_cliques(g, 3)) == (3 * n - 2 * k) * (k - 1) * (k - 2) // 6
             assert validate_trace(g, trace)
 
     def test_reproducible(self):
@@ -167,12 +164,6 @@ class TestKTrees:
 
     def test_non_ktree_rejected(self, fig3):
         assert is_ktree(fig3, 4) is None
-
-    def test_c5_counts(self):
-        assert count_edges_triangles(cycle_graph(5)) == (5, 0)
-
-    def test_k4_counts(self):
-        assert count_edges_triangles(complete_graph(4)) == (6, 4)
 
 
 class TestOracles:

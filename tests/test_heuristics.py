@@ -27,6 +27,14 @@ class TestSolveModified:
         x, _, rank_p, _ = solve_modified(fig3, np.zeros((12, 12)))
         assert rank_p > 3
 
+    def test_best_iterate_rule_accepts_stalled_solve(self, corpora):
+        # The second solve stalls at a 2e-6 duality gap and is accepted only
+        # as an inaccurate best iterate; without that rule the run ends
+        # solver-error after two solves.
+        out = heuristic2(corpora[10][140])
+        assert out.status == COLORED
+        assert out.solve_count == 6
+
 
 class TestHeuristicRuns:
     def test_k4_immediately_colored(self):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from sdpcolor.linalg import (
     eigen_sym,
-    format_matrix,
     gram_factor,
     is_psd,
     min_eigenvalue,
     numerical_rank,
-    parse_matrix,
     require_symmetric,
     symmetrize,
 )
@@ -164,14 +162,6 @@ class TestGramFactor:
 
 
 class TestMatrixText:
-    def test_round_trip(self):
-        a = random_symmetric(4)
-        assert np.array_equal(parse_matrix(format_matrix(a)), a)
-
-    def test_bad_row_count(self):
-        with pytest.raises(ValueError):
-            parse_matrix("2\n1 0\n")
-
     def test_min_eigenvalue(self):
         assert abs(min_eigenvalue(np.diag([3.0, -2.0])) + 2.0) < 1e-14
 

@@ -9,6 +9,7 @@ from sdpcolor.certificates import ktree_dual
 from sdpcolor.formulations import build_cost_sdp, build_svcn, reference_solution
 from sdpcolor.graphs import Coloring, is_ktree
 from sdpcolor.sdp import (
+    INACCURATE,
     MAX_ITERATIONS,
     OPTIMAL,
     SdpProblem,
@@ -104,7 +105,20 @@ class TestSolverProperties:
         a[0, 0] = 1.0
         problem = SdpProblem.build(2, np.eye(2), [(a, -1.0)])
         sol = solve(problem)
-        assert sol.status != OPTIMAL
+        assert sol.status == MAX_ITERATIONS
+
+    def test_relaxed_candidate_matches_relaxed_tolerance(self, corpora):
+        # The strict tolerance is never met on this zero-cost solve, and the
+        # one pass keeps the iterate that a separate solve at 10 * tol returns.
+        g = corpora[9][23]
+        problem = build_cost_sdp(g, 4, np.zeros((g.n, g.n))).problem
+        sol = solve(problem)
+        relaxed = solve(problem, tol=1e-7)
+        assert sol.status == INACCURATE
+        assert relaxed.status == OPTIMAL and relaxed.iterations == 14
+        assert np.array_equal(sol.X, relaxed.X)
+        assert np.array_equal(sol.y, relaxed.y)
+        assert np.array_equal(sol.S, relaxed.S)
 
 
 class TestCheckComplementarity:
