@@ -8,38 +8,27 @@ column 0 are excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 
-from .graphs import Coloring, Graph, validate_coloring
-from .linalg import DEFAULT_RANK_TAU, numerical_rank
-from .sdp import SdpProblem, SdpSolution, solve
+from .graphs import Coloring, Graph, enumerate_cliques, validate_coloring
+from .linalg import DEFAULT_RANK_TAU, numerical_rank, symmetrize
+from .sdp import ConstraintMap, SdpProblem, SdpSolution, solve
 
 DEFAULT_EXTRACT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
-class SvcnInstance:
-    """Strict vector chromatic number SDP for a graph; dim = n + 1."""
+class SdpInstance:
+    """A coloring SDP; its first |E| constraints belong to edge_order's edges."""
 
-    graph: Graph
     problem: SdpProblem
     edge_order: tuple
 
 
-@dataclass(frozen=True)
-class CostInstance:
-    """Cost-augmented coloring SDP: min C . X over the alpha = -1/(k-1) slice."""
-
-    graph: Graph
-    k: int
-    cost: np.ndarray
-    problem: SdpProblem
-    edge_order: tuple
-
-
-def build_svcn(g: Graph) -> SvcnInstance:
+def build_svcn(g: Graph) -> SdpInstance:
     """Assemble the (n+1)-dimensional strict vector chromatic number SDP.
 
     Constraints, in order: z_ij + z_00 = 0 per edge, z_ii = 1 per vertex,
@@ -50,52 +39,35 @@ def build_svcn(g: Graph) -> SvcnInstance:
     dim = n + 1
     objective = np.zeros((dim, dim))
     objective[0, 0] = -1.0
-    constraints = []
     edges = tuple(g.edge_list())
-    for i, j in edges:
-        a = np.zeros((dim, dim))
-        a[0, 0] = 1.0
-        a[i, j] = a[j, i] = 0.5
-        constraints.append((a, 0.0))
-    for i in g.vertices():
-        a = np.zeros((dim, dim))
-        a[i, i] = 1.0
-        constraints.append((a, 1.0))
-    for i in g.vertices():
-        a = np.zeros((dim, dim))
-        a[0, i] = a[i, 0] = 0.5
-        constraints.append((a, 0.0))
-    return SvcnInstance(g, SdpProblem.build(dim, objective, constraints), edges)
+    constraints = [(((0, 0, 1.0), (i, j, 0.5)), 0.0) for i, j in edges]
+    constraints += [(((i, i, 1.0),), 1.0) for i in g.vertices()]
+    constraints += [(((0, i, 0.5),), 0.0) for i in g.vertices()]
+    return SdpInstance(SdpProblem.build(dim, objective, constraints), edges)
 
 
-def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> CostInstance:
+def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpInstance:
     """Assemble the cost SDP: X_ij = -1/(k-1) on edges, unit diagonal.
 
-    Edge constraints use the two-entry matrix E_ij + E_ji with right-hand side
-    -2/(k-1), so the solver's dual values are exactly the z_e of the paper-form
-    dual, and the dual objective is sum y_i - (2/(k-1)) sum z_e.
+    Each edge constraint is the entry pair X_ij = X_ji with coefficient 1 and
+    right-hand side -2/(k-1), so the solver's dual values are exactly the z_e
+    of the paper-form dual, and the dual objective is sum y_i - (2/(k-1))
+    sum z_e.
 
     This is the paper's unreduced SDP (dim n, m = |E| + n). For every K_k Q
     with indicator vector u_Q it forces u_Q^T X u_Q = k - k = 0, so every
     feasible X lies in the clique face {X : X u_Q = 0} and none is positive
-    definite. heuristics.solve_modified solves it restricted to that face.
+    definite. solve_cost solves it restricted to that face.
     """
     if k < 2:
         raise ValueError("palette size must be at least 2")
     c = np.asarray(c, dtype=float)
     if c.shape != (g.n, g.n):
         raise ValueError("cost matrix dimension mismatch")
-    constraints = []
     edges = tuple(g.edge_list())
-    for i, j in edges:
-        a = np.zeros((g.n, g.n))
-        a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
-        constraints.append((a, -2.0 / (k - 1)))
-    for i in g.vertices():
-        a = np.zeros((g.n, g.n))
-        a[i - 1, i - 1] = 1.0
-        constraints.append((a, 1.0))
-    return CostInstance(g, k, c, SdpProblem.build(g.n, c, constraints), edges)
+    constraints = [(((i - 1, j - 1, 1.0),), -2.0 / (k - 1)) for i, j in edges]
+    constraints += [(((i - 1, i - 1, 1.0),), 1.0) for i in g.vertices()]
+    return SdpInstance(SdpProblem.build(g.n, c, constraints), edges)
 
 
 def reference_solution(g: Graph, c: Coloring) -> np.ndarray:
@@ -175,3 +147,36 @@ def solve_svcn(g: Graph, tol: float = 1e-8,
         rank_dual=numerical_rank(sol.S[1:, 1:], tau),
         solution=sol,
     )
+
+
+def solve_cost(g: Graph, k: int, cost: np.ndarray,
+               tol: float = 1e-8) -> SdpSolution:
+    """Solve the cost SDP on its clique face X = V W V^T; lift X and S.
+
+    Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
+    for every feasible X: the unreduced SDP has no interior, and interior-point
+    steps toward it stall. V is an orthonormal basis of the complement of the
+    u_Q (the identity when g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T
+    (i in Q), a constraint combination of b-weight 0, vanishes; pivoted QR of
+    the face's Gram matrix drops the constraints this makes dependent, since
+    the solver needs independent rows.
+
+    Returns the face solve with X and S lifted to order n; y holds the kept
+    constraints' duals. S = V S_W V^T need not be an unreduced dual slack: that
+    dual can recede along u_Q u_Q^T, a constraint combination of b-weight 0,
+    without changing its objective, so its optimum need not be attained.
+    """
+    problem = build_cost_sdp(g, k, cost).problem
+    cliques = enumerate_cliques(g, k)
+    u = np.zeros((g.n, len(cliques)))
+    for col, q in enumerate(cliques):
+        u[[v - 1 for v in q], col] = 1.0
+    v = sla.null_space(u.T)
+    face = SdpProblem(g.n, problem.objective, problem.constraints, v)
+    eye = np.eye(v.shape[1])
+    _, r, piv = sla.qr(ConstraintMap(face).schur(eye, eye), pivoting=True)
+    diag = np.abs(np.diag(r))
+    keep = np.sort(piv[diag > 1e-9 * diag[0]])
+    face = replace(face, constraints=tuple(problem.constraints[i] for i in keep))
+    sol = solve(face, tol=tol)
+    return replace(sol, X=symmetrize(v @ sol.X @ v.T), S=symmetrize(v @ sol.S @ v.T))

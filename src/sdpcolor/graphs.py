@@ -273,6 +273,16 @@ def find_clique(g: Graph, k: int):
     Deterministic: the DFS extends by ascending labels, so the first clique
     found is the smallest under sorted-tuple order.
     """
+    return next(_cliques(g, k), None)
+
+
+def enumerate_cliques(g: Graph, k: int) -> list:
+    """All k-cliques as sorted tuples, in lexicographic order."""
+    return list(_cliques(g, k))
+
+
+def _cliques(g: Graph, k: int):
+    """Generator of the k-cliques as sorted tuples, in lexicographic order."""
     if k < 1:
         raise ValueError("clique size must be positive")
     bits = g._adj_bits
@@ -280,40 +290,16 @@ def find_clique(g: Graph, k: int):
     def extend(chosen: list, cand: int):
         # cand: labels > chosen[-1] adjacent to every chosen vertex
         if len(chosen) == k:
-            return tuple(chosen)
-        while cand:
-            if bin(cand).count("1") < k - len(chosen):
-                return None
-            v = (cand & -cand).bit_length()
-            cand &= cand - 1
-            got = extend(chosen + [v], cand & bits[v])
-            if got:
-                return got
-        return None
-
-    return extend([], (1 << g.n) - 1)
-
-
-def enumerate_cliques(g: Graph, k: int) -> list:
-    """All k-cliques as sorted tuples, in lexicographic order."""
-    if k < 1:
-        raise ValueError("clique size must be positive")
-    bits = g._adj_bits
-    out = []
-
-    def extend(chosen: list, cand: int):
-        if len(chosen) == k:
-            out.append(tuple(chosen))
+            yield tuple(chosen)
             return
         while cand:
             if bin(cand).count("1") < k - len(chosen):
                 return
             v = (cand & -cand).bit_length()
             cand &= cand - 1
-            extend(chosen + [v], cand & bits[v])
+            yield from extend(chosen + [v], cand & bits[v])
 
-    extend([], (1 << g.n) - 1)
-    return out
+    return extend([], (1 << g.n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,35 +12,27 @@ cyclic pass finds nothing admissible (every failed attempt is undone, so an
 unsuccessful full pass proves the state can never change again).
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
-clique face (see solve_modified). Its iterate is used when it polishes to an
-exact optimum or when the solve ends optimal or inaccurate; any other status
-ends the run as solver-error.
+clique face (formulations.solve_cost). Its iterate is used when it polishes
+to an exact optimum or when the solve ends optimal or inaccurate; any other
+status ends the run as solver-error.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .certificates import CertificateReport, certify_cost
 from .formulations import (
     DEFAULT_EXTRACT_TOL,
-    build_cost_sdp,
     extract_coloring,
     reference_solution,
+    solve_cost,
 )
-from .graphs import (
-    Coloring,
-    Graph,
-    enumerate_cliques,
-    find_clique,
-    validate_coloring,
-)
-from .linalg import DEFAULT_RANK_TAU, numerical_rank, symmetrize
-from .sdp import INACCURATE, OPTIMAL, SdpProblem, solve
+from .graphs import Coloring, Graph, find_clique, validate_coloring
+from .linalg import DEFAULT_RANK_TAU, numerical_rank
+from .sdp import INACCURATE, OPTIMAL
 
 ALIGN_TOL = 1e-4
 PALETTE = 4
@@ -107,61 +99,25 @@ def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray,
     return x_ref
 
 
-def _clique_face(g: Graph, k: int, problem: SdpProblem):
-    """(V, restricted problem): the cost SDP on its clique face X = V W V^T.
-
-    Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
-    for every feasible X and the feasible set has no positive definite point.
-    V is an orthonormal basis of the complement of the u_Q (the identity when
-    g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T for i in Q, a constraint
-    combination of b-weight 0, vanishes; the constraints this makes linearly
-    dependent are dropped (pivoted QR), since the solver's Gram factor needs
-    independent rows.
-    """
-    cliques = enumerate_cliques(g, k)
-    u = np.zeros((g.n, len(cliques)))
-    for col, q in enumerate(cliques):
-        u[[v - 1 for v in q], col] = 1.0
-    v = sla.null_space(u.T)
-    a_face = np.array([symmetrize(v.T @ a @ v) for a, _ in problem.constraints])
-    _, r, piv = sla.qr(a_face.reshape(problem.m, -1).T, mode="economic",
-                       pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = np.sort(piv[:diag.size][diag > 1e-9 * diag[0]])
-    face = SdpProblem.build(v.shape[1], symmetrize(v.T @ problem.objective @ v),
-                            [(a_face[i], problem.constraints[i][1]) for i in keep])
-    return v, face
-
-
 def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE,
                    tol: float = 1e-8, tau: float = DEFAULT_RANK_TAU):
     """Solve the cost SDP for g; returns (X, S, rank_primal, rank_dual).
 
-    The solve runs on the clique face (see _clique_face): the unreduced SDP
-    has no interior, and interior-point steps toward it stall. X is the
-    polished optimum when the lifted iterate V W V^T snaps to one (see
-    _polish), else that lifted iterate, whose solve must then be optimal or
-    inaccurate: an inaccurate iterate is feasible to 10 * tol with a small
-    duality gap, so its entries sit well within the 1e-4 alignment tolerance
-    and the heuristic can still read accept/reject decisions off it. Any
-    other status raises SolverError.
-
-    S is the face's slack lifted the same way, V S_W V^T, and rank_dual is its
-    rank. It is not the slack of an unreduced dual optimum, which need not be
-    attained: u_Q u_Q^T is a constraint combination of b-weight 0, so the
-    unreduced dual can recede along it without changing its objective.
+    X and S come lifted from the clique face (formulations.solve_cost). X is
+    the polished optimum when the lifted iterate snaps to one (see _polish),
+    else that iterate, whose solve must then be optimal or inaccurate: an
+    inaccurate iterate is feasible to 10 * tol with a small duality gap, so
+    its entries sit well within the 1e-4 alignment tolerance and the
+    heuristic can still read accept/reject decisions off it. Any other
+    status raises SolverError.
     """
-    problem = build_cost_sdp(g, k, cost).problem
-    v, face = _clique_face(g, k, problem)
-    sol = solve(face, tol=tol)
-    x_face = symmetrize(v @ sol.X @ v.T)
-    s = symmetrize(v @ sol.S @ v.T)
-    x = _polish(g, k, problem.objective, x_face, sol.primal_obj)
+    sol = solve_cost(g, k, cost, tol=tol)
+    x = _polish(g, k, cost, sol.X, sol.primal_obj)
     if x is None:
         if sol.status not in (OPTIMAL, INACCURATE):
             raise SolverError(f"cost SDP ended with status {sol.status}")
-        x = x_face
-    return x, s, numerical_rank(x, tau), numerical_rank(s, tau)
+        x = sol.X
+    return x, sol.S, numerical_rank(x, tau), numerical_rank(sol.S, tau)
 
 
 def heuristic1(g: Graph, align_tol: float = ALIGN_TOL,

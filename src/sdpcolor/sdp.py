@@ -1,7 +1,12 @@
-"""Small dense standard-form SDP solver plus duality checks.
+"""Standard-form SDP solver over entry constraints, plus duality checks.
 
 Primal:  min C . X   s.t.  A_i . X = b_i,  X PSD
 Dual:    max b^T y   s.t.  S = C - sum_i y_i A_i,  S PSD
+
+Each A_i is stored as its few nonzero entries and reached only through
+ConstraintMap: A(X) is a gather, A*(y) a scatter and the Schur matrix a sum
+over entry pairs. An optional face basis V restricts the variable to
+X = V W V^T; the solver then works in W.
 
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
@@ -10,8 +15,8 @@ assumes independent constraints and a feasible set with an interior: when the
 interior is empty, steps shrink toward the boundary and the solve can stall
 until the iteration cap; it then returns its best-merit iterate, which is
 inaccurate only when within the bounds below and max-iterations otherwise.
-Restrict such a problem to the face that holds its feasible set first, as
-heuristics.solve_modified does for the cost SDP.
+Give such a problem the basis of the face that holds its feasible set, as
+formulations.solve_cost does for the cost SDP.
 
 One pass decides the status. Relative primal and dual residuals and the
 relative duality gap are measured at every iterate; an iterate passes a
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 
 from .linalg import (
     DEFAULT_RANK_TAU,
@@ -58,11 +64,18 @@ _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Standard-form instance: dim, objective C, constraints (A_i, b_i)."""
+    """Standard-form instance: dim, objective C, constraints (entries_i, b_i).
+
+    The entries of a constraint are its distinct nonzero upper-triangle cells
+    (r, c, value), r <= c, each setting A_i[r, c] = A_i[c, r] = value. The
+    optional basis V (dim x r, orthonormal columns) restricts the variable to
+    X = V W V^T.
+    """
 
     dim: int
     objective: np.ndarray
     constraints: tuple
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         require_symmetric(self.objective)
@@ -70,25 +83,71 @@ class SdpProblem:
             raise ValueError("objective dimension mismatch")
         if not self.constraints:
             raise ValueError("at least one constraint required")
-        for a, _ in self.constraints:
-            require_symmetric(a)
-            if a.shape != (self.dim, self.dim):
-                raise ValueError("constraint dimension mismatch")
+        for entries, _ in self.constraints:
+            if not entries:
+                raise ValueError("constraint without entries")
+            if any(not 0 <= r <= c < self.dim for r, c, _ in entries):
+                raise ValueError("constraint entry outside the upper triangle")
 
     @classmethod
     def build(cls, dim, objective, constraints) -> "SdpProblem":
-        cons = tuple((np.asarray(a, dtype=float), float(bi)) for a, bi in constraints)
+        cons = tuple((tuple((int(r), int(c), float(v)) for r, c, v in entries), float(bi))
+                     for entries, bi in constraints)
         return cls(dim, np.asarray(objective, dtype=float), cons)
 
     @property
     def m(self) -> int:
         return len(self.constraints)
 
-    def stacked(self):
-        """(A, b) with A of shape (m, dim, dim)."""
-        a = np.stack([ai for ai, _ in self.constraints])
-        b = np.array([bi for _, bi in self.constraints])
-        return a, b
+
+class ConstraintMap:
+    """A problem in face coordinates W: b, C, A(W), A*(y) and the Schur matrix.
+
+    The entries are flattened with both triangles listed, so entry s sets
+    A_{i_s}[p_s, q_s] = c_s; the sparse matrix G (m x entries) holds c_s in
+    row i_s for the Schur matrix. With a basis V, W lifts to X = V W V^T
+    before a gather, and a scatter lands in V^T Z V.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        cells = [(i, r, c, v) for i, (entries, _) in enumerate(problem.constraints)
+                 for r, c, v in entries]
+        cells += [(i, c, r, v) for i, r, c, v in cells if r != c]
+        self.row, self.p, self.q, self.coef = (np.array(col) for col in zip(*cells))
+        self.g = sparse.csr_matrix((self.coef, (self.row, np.arange(self.row.size))),
+                                   shape=(problem.m, self.row.size))
+        self.b = np.array([bi for _, bi in problem.constraints])
+        self.dim = problem.dim
+        self.basis = v = problem.basis
+        c = problem.objective
+        self.objective = c if v is None else symmetrize(v.T @ c @ v)
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        v = self.basis
+        return w if v is None else v @ w @ v.T
+
+    def gather(self, w: np.ndarray) -> np.ndarray:
+        """A(W)_i = sum over entries s of constraint i of c_s X[p_s, q_s]."""
+        x = self.lift(w)
+        return np.bincount(self.row, self.coef * x[self.p, self.q], self.b.size)
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = sum_i y_i A_i: entry s adds c_s y_{i_s} at [p_s, q_s]."""
+        n = self.dim
+        z = np.bincount(self.p * n + self.q, self.coef * y[self.row], n * n).reshape(n, n)
+        v = self.basis
+        return z if v is None else symmetrize(v.T @ z @ v)
+
+    def schur(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """M_ij = tr(A_i X A_j T), X and T lifted from w and t, T symmetric.
+
+        Entries s of A_i and t of A_j contribute c_s c_t X[q_s, p_t] T[p_s, q_t].
+        At w = t = I this is the Gram matrix tr(A_i V V^T A_j V V^T).
+        """
+        x, t = self.lift(w), self.lift(t)
+        k = x[:, self.p][self.q]
+        k *= t[:, self.q][self.p]
+        return (self.g @ (self.g @ k).T).T
 
 
 @dataclass(frozen=True)
@@ -208,27 +267,24 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     The status is optimal, inaccurate, max-iterations or numerical-failure,
     chosen by the rules in the module docstring. Every status comes with the
-    returned iterate's residuals.
+    returned iterate's residuals. With a face basis V, X and S are those of W,
+    of order V's column count, and the caller lifts them.
     """
-    ell = problem.dim
-    a_stack, b = problem.stacked()
-    m = problem.m
-    a_flat = a_stack.reshape(m, ell * ell)
-    c = problem.objective
-    c_norm = float(np.max(np.abs(c))) if c.size else 0.0
-    b_norm = float(np.max(np.abs(b))) if m else 0.0
-    res_scale = 1.0 + b_norm + c_norm
+    ops = ConstraintMap(problem)
+    b = ops.b
+    c = ops.objective
+    ell = c.shape[0]
+    res_scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(c)))
 
     eye = np.eye(ell)
-    eta = res_scale
-    x = eta * eye.copy()
-    s = eta * eye.copy()
-    y = np.zeros(m)
+    x = res_scale * eye
+    s = res_scale * eye
+    y = np.zeros(problem.m)
 
     # Constant Gram matrix of the constraints, used to lift each dX back onto
     # A(dX) = rp exactly; this is what keeps primal feasibility from eroding
     # once the Schur complement turns ill-conditioned near the optimum.
-    gram = _Factor(a_flat @ a_flat.T)
+    gram = _Factor(ops.schur(eye, eye))
 
     best = None
     best_merit = np.inf
@@ -241,11 +297,11 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     relaxed = _Window(_RELAXED * tol)
 
     def measure(x, y, s):
-        rp = b - a_flat @ x.ravel()
-        rd = c - s - np.tensordot(y, a_stack, axes=(0, 0))
+        rp = b - ops.gather(x)
+        rd = c - s - ops.scatter(y)
         pobj = _inner(c, x)
         dobj = float(b @ y)
-        rel_p = float(np.max(np.abs(rp))) / res_scale if m else 0.0
+        rel_p = float(np.max(np.abs(rp))) / res_scale
         rel_d = float(np.max(np.abs(rd))) / res_scale
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         return rp, rd, pobj, dobj, rel_p, rel_d, rel_gap
@@ -272,20 +328,18 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         if not np.all(np.isfinite(s_inv)):
             status = NUMERICAL_FAILURE
             break
-        t_stack = x @ a_stack @ s_inv  # broadcast over constraints
-        m_mat = a_flat @ t_stack.reshape(m, ell * ell).T
-        schur = _Factor((m_mat + m_mat.T) / 2.0)
+        schur = _Factor(symmetrize(ops.schur(x, symmetrize(s_inv))))
 
         xs = x @ s
         mu = _inner(x, s) / ell
 
         def direction(rc):
             g = (rc - x @ rd) @ s_inv
-            dy = schur.solve(rp - a_flat @ g.ravel())
-            ds = symmetrize(rd - np.tensordot(dy, a_stack, axes=(0, 0)))
+            dy = schur.solve(rp - ops.gather(g))
+            ds = symmetrize(rd - ops.scatter(dy))
             dx = symmetrize((rc - x @ ds) @ s_inv)
-            lam = gram.solve(rp - a_flat @ dx.ravel())
-            dx = symmetrize(dx + np.tensordot(lam, a_stack, axes=(0, 0)))
+            lam = gram.solve(rp - ops.gather(dx))
+            dx = symmetrize(dx + ops.scatter(lam))
             return dx, dy, ds
 
         if center_next:
@@ -336,7 +390,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
             and rel_gap <= _RELAXED_GAP * tol):
         status = INACCURATE
     residuals = SdpResiduals(
-        primal_inf=float(np.max(np.abs(rp))) if m else 0.0,
+        primal_inf=float(np.max(np.abs(rp))),
         dual_inf=float(np.max(np.abs(rd))),
         duality_gap=abs(pobj - dobj),
         xs_inner=_inner(x, s),
@@ -386,41 +440,36 @@ def verify_feasible_dual(problem: SdpProblem, y, psd_eps: float = 1e-9) -> DualF
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m,):
         raise ValueError(f"expected {problem.m} dual values, got {y.shape}")
-    a_stack, b = problem.stacked()
-    s = symmetrize(problem.objective - np.tensordot(y, a_stack, axes=(0, 0)))
+    ops = ConstraintMap(problem)
+    s = symmetrize(ops.objective - ops.scatter(y))
     lam = min_eigenvalue(s)
     slack = psd_eps * (1.0 + abs(lam) + float(np.max(np.abs(s))))
-    return DualFeasibility(s, lam >= -slack, float(b @ y), lam)
+    return DualFeasibility(s, lam >= -slack, float(ops.b @ y), lam)
 
 
-# Debug dump format: "dim m", objective matrix rows, then b_i followed by A_i
-# rows for each constraint.
+# Dump format: "dim m", the objective's rows, then per constraint a line
+# "b_i count" followed by count lines "r c value". Face bases are not dumped.
 
 def format_problem(p: SdpProblem) -> str:
-    def rows(mat):
-        return [" ".join(repr(float(v)) for v in row) for row in mat]
-
+    if p.basis is not None:
+        raise ValueError("the dump holds problems without a face basis")
     lines = [f"{p.dim} {p.m}"]
-    lines += rows(p.objective)
-    for a, bi in p.constraints:
-        lines.append(repr(float(bi)))
-        lines += rows(a)
+    lines += [" ".join(repr(float(v)) for v in row) for row in p.objective]
+    for entries, bi in p.constraints:
+        lines.append(f"{float(bi)!r} {len(entries)}")
+        lines += [f"{r} {c} {float(v)!r}" for r, c, v in entries]
     return "\n".join(lines) + "\n"
 
 
 def parse_problem(text: str) -> SdpProblem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty problem text")
-    dim, m = (int(v) for v in lines[0].split())
-    take = iter(lines[1:])
-
-    def matrix():
-        return np.array([[float(v) for v in next(take).split()] for _ in range(dim)])
-
-    objective = matrix()
+    dim, m = (int(v) for v in lines[0])
+    objective = np.array([[float(v) for v in row] for row in lines[1:dim + 1]])
+    take = iter(lines[dim + 1:])
     constraints = []
     for _ in range(m):
-        bi = float(next(take))
-        constraints.append((matrix(), bi))
+        bi, count = next(take)
+        constraints.append(([next(take) for _ in range(int(count))], bi))
     return SdpProblem.build(dim, objective, constraints)

@@ -198,6 +198,14 @@ class TestCertifyCost:
         report = certify_cost(fig5, chromatic_oracle(fig5)[1])
         assert report.verdict
 
+    def test_solver_extraction_checked_on_planar_n10_graph_63(self, corpora):
+        # The unreduced cost SDP of this coloring stalls at the iteration cap;
+        # on the clique face the solver round trip is checked.
+        g = corpora[10][63]
+        report = certify_cost(g, enumerate_colorings(g, 4, limit=1)[0])
+        assert report.checks["solver_extract"] is True
+        assert report.verdict
+
     def test_k4_base_case(self):
         report = certify_cost(complete_graph(4), Coloring(4, (1, 2, 3, 4)))
         assert report.verdict and report.rank == 1
