@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
+from pathlib import Path
 
 from .graphs import Graph, find_clique, parse_plantri_ascii
 from .heuristics import COLORED, FAILED, heuristic1, heuristic2
@@ -57,17 +60,52 @@ def _run_one(args):
     return BatchRow(index, n, True, algo, outcome.status, outcome.solve_count, elapsed)
 
 
-def _read_checkpoint(path) -> dict:
+def _checkpoint_header(corpus_text: str, algo: int, max_solves: int | None) -> str:
+    digest = hashlib.sha256(corpus_text.encode()).hexdigest()
+    budget = "none" if max_solves is None else max_solves
+    return f"sdpcolor-batch algo={algo} budget={budget} corpus={digest}"
+
+
+def _resume(path: str, header: str) -> dict:
+    """Stored rows {index: (status, solves, seconds)} of a checkpoint file.
+
+    Creates the file with its header when it is missing or holds no complete
+    line. Only newline-terminated lines count: a torn last line, left by a
+    killed run, is cut off so that appends start on a fresh line. A header
+    written for another corpus, algo or budget raises ValueError.
+    """
+    file = Path(path)
+    data = file.read_bytes() if file.exists() else b""
+    cut = data.rfind(b"\n") + 1
+    lines = data[:cut].decode().splitlines()
+    if not lines:
+        file.write_text(header + "\n")
+        return {}
+    if lines[0] != header:
+        raise ValueError(f"checkpoint {path} was written for {lines[0]!r}, not {header!r}")
+    if cut < len(data):
+        os.truncate(file, cut)
     done: dict = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                fields = line.split()
-                if len(fields) >= 2:
-                    done[int(fields[0])] = fields[1]
-    except FileNotFoundError:
-        pass
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            index, status, solves, seconds = line.split()
+            done[int(index)] = (status, int(solves), float(seconds))
+        except ValueError:
+            raise ValueError(f"checkpoint {path} line {lineno}: {line!r}") from None
     return done
+
+
+def _collect(rows, checkpoint: str | None) -> list:
+    """Drain rows as they arrive, appending each one to the checkpoint at once."""
+    if not checkpoint:
+        return list(rows)
+    out = []
+    with open(checkpoint, "a") as fh:
+        for row in rows:
+            fh.write(f"{row.index} {row.status} {row.solves} {row.seconds!r}\n")
+            fh.flush()
+            out.append(row)
+    return out
 
 
 def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
@@ -81,6 +119,11 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
     "no-k4". Row order follows file order regardless of the worker pool, so
     reports are deterministic. Corpora containing graphs with more than 11
     vertices are refused unless long_mode is set.
+
+    A checkpoint file starts with a header naming algo, max_solves and the
+    corpus's sha256, then holds one line "index status solves seconds" per
+    finished graph, written and flushed as each arrives. A rerun with the
+    same file keeps the stored rows and runs only the missing graphs.
     """
     if algo not in (1, 2):
         raise ValueError("algo must be 1 or 2")
@@ -89,7 +132,9 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
         raise ValueError(
             f"corpus has graphs with n > {LONG_MODE_THRESHOLD}; pass long_mode"
         )
-    done = _read_checkpoint(checkpoint) if checkpoint else {}
+    done = {}
+    if checkpoint:
+        done = _resume(checkpoint, _checkpoint_header(corpus_text, algo, max_solves))
 
     skipped_rows = []
     tasks = []
@@ -100,22 +145,16 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
                 skipped_rows.append(BatchRow(index, g.n, False, algo, NO_K4, 0, 0.0))
             continue
         if index in done:
-            skipped_rows.append(
-                BatchRow(index, g.n, True, algo, done[index], 0, 0.0)
-            )
+            status, solves, seconds = done[index]
+            skipped_rows.append(BatchRow(index, g.n, True, algo, status, solves, seconds))
             continue
         tasks.append((index, g.n, tuple(g.edges), algo, max_solves))
 
     if jobs > 1 and len(tasks) > 1:
         with Pool(processes=jobs) as pool:
-            fresh = pool.map(_run_one, tasks, chunksize=1)
+            fresh = _collect(pool.imap(_run_one, tasks, chunksize=1), checkpoint)
     else:
-        fresh = [_run_one(t) for t in tasks]
-
-    if checkpoint:
-        with open(checkpoint, "a") as fh:
-            for row in fresh:
-                fh.write(f"{row.index} {row.status}\n")
+        fresh = _collect(map(_run_one, tasks), checkpoint)
 
     rows = tuple(sorted(skipped_rows + fresh, key=lambda r: r.index))
     return BatchReport(algo, filter_k4, rows)

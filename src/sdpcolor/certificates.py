@@ -13,13 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .formulations import (
-    DEFAULT_EXTRACT_TOL,
-    extract_coloring,
-    reference_solution,
-    solve_cost,
-    solve_svcn,
-)
+from .formulations import extract_coloring, reference_solution, solve_cost, solve_svcn
 from .graphs import (
     Coloring,
     Graph,
@@ -30,7 +24,7 @@ from .graphs import (
     validate_coloring,
     validate_trace,
 )
-from .linalg import DEFAULT_RANK_TAU, min_eigenvalue, numerical_rank
+from .linalg import min_eigenvalue, numerical_rank
 from .sdp import INACCURATE, OPTIMAL
 
 PSD_SLACK = 1e-10
@@ -56,7 +50,7 @@ class CertificateReport:
     psd: bool
     lambda_min: float
     residuals: dict
-    primal_obj: float | None
+    primal_obj: float
     dual_obj: float
     objective_match: bool
     rank: int
@@ -70,9 +64,8 @@ class CertificateReport:
         lines.append(f"  psd: {self.psd} (lambda_min={self.lambda_min:.3e})")
         for key, val in self.residuals.items():
             lines.append(f"  residual {key}: {val:.3e}")
-        primal = "n/a" if self.primal_obj is None else f"{self.primal_obj:.10f}"
         lines.append(
-            f"  objectives: primal={primal} dual={self.dual_obj:.10f}"
+            f"  objectives: primal={self.primal_obj:.10f} dual={self.dual_obj:.10f}"
             f" (match: {self.objective_match})"
         )
         lines.append(f"  rank: {self.rank} (target >= {self.rank_bound}): {self.rank_ok}")
@@ -80,26 +73,6 @@ class CertificateReport:
             lines.append(f"  check {key}: {val}")
         lines.append(f"  verdict: {self.verdict}")
         return "\n".join(lines)
-
-    def to_kv(self) -> str:
-        pairs = [
-            ("name", self.name),
-            ("psd", str(self.psd).lower()),
-            ("lambda_min", repr(self.lambda_min)),
-        ]
-        pairs += [(f"residual.{k}", repr(v)) for k, v in self.residuals.items()]
-        if self.primal_obj is not None:
-            pairs.append(("primal_obj", repr(self.primal_obj)))
-        pairs += [
-            ("dual_obj", repr(self.dual_obj)),
-            ("objective_match", str(self.objective_match).lower()),
-            ("rank", str(self.rank)),
-            ("rank_bound", str(self.rank_bound)),
-            ("rank_ok", str(self.rank_ok).lower()),
-        ]
-        pairs += [(f"check.{k}", str(v).lower()) for k, v in self.checks.items()]
-        pairs.append(("verdict", str(self.verdict).lower()))
-        return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +98,15 @@ def ktree_dual(g: Graph, trace: KTreeTrace) -> np.ndarray:
     return num / denom
 
 
-def certify_ktree(g: Graph, k: int, tau: float = DEFAULT_RANK_TAU,
-                  run_solver: bool = True, solver_tol: float = 1e-8,
-                  extract_tol: float = DEFAULT_EXTRACT_TOL) -> CertificateReport:
+def certify_ktree(g: Graph, k: int) -> CertificateReport:
     """Verify the closed-form dual certificate for a (k-1)-tree.
 
     Checks the exact feasibility identities (off-diagonal sum 1, trace
-    1/(k-1)), positive semidefiniteness, and rank n-k+1; optionally also
-    solves the strict vector chromatic number SDP and confirms the primal
-    side: objective -1/(k-1), submatrix rank at most k-1, and a successful
-    coloring extraction.
+    1/(k-1)), positive semidefiniteness, and rank n-k+1; then solves the
+    strict vector chromatic number SDP and confirms the primal side:
+    objective -1/(k-1), submatrix rank at most k-1, and a successful coloring
+    extraction. Ranks use linalg.DEFAULT_RANK_TAU, the solve
+    sdp.DEFAULT_TOL and the extraction formulations.DEFAULT_EXTRACT_TOL.
     """
     trace = is_ktree(g, k)
     if trace is None:
@@ -145,22 +117,19 @@ def certify_ktree(g: Graph, k: int, tau: float = DEFAULT_RANK_TAU,
     diag_sum = float(np.trace(s_mat))
     offdiag_sum = float(s_mat.sum()) - diag_sum
     lam = min_eigenvalue(s_mat)
-    rank = numerical_rank(s_mat, tau)
+    rank = numerical_rank(s_mat)
     residuals = {
         "offdiag_sum": abs(offdiag_sum - 1.0),
         "trace": abs(diag_sum - 1.0 / (k - 1)),
     }
     dual_obj = -diag_sum
-    checks = {}
-    primal_obj = None
-    if run_solver:
-        summary = solve_svcn(g, tol=solver_tol, tau=tau)
-        primal_obj = summary.objective
-        coloring = extract_coloring(summary.X, k, extract_tol)
-        checks["svcn_objective"] = abs(summary.objective - target) <= 1e-6
-        checks["svcn_primal_rank"] = summary.rank_primal <= k - 1
-        checks["svcn_extract"] = coloring is not None
-        checks["rank_sum_bound"] = summary.rank_primal + summary.rank_dual <= n
+    summary = solve_svcn(g)
+    checks = {
+        "svcn_objective": abs(summary.objective - target) <= 1e-6,
+        "svcn_primal_rank": summary.rank_primal <= k - 1,
+        "svcn_extract": extract_coloring(summary.X, k) is not None,
+        "rank_sum_bound": summary.rank_primal + summary.rank_dual <= n,
+    }
     psd = lam >= -PSD_SLACK
     rank_ok = rank >= n - k + 1
     feasible = all(v <= EXACT_TOL for v in residuals.values())
@@ -171,7 +140,7 @@ def certify_ktree(g: Graph, k: int, tau: float = DEFAULT_RANK_TAU,
         psd=psd,
         lambda_min=lam,
         residuals=residuals,
-        primal_obj=primal_obj,
+        primal_obj=summary.objective,
         dual_obj=dual_obj,
         objective_match=objective_match,
         rank=rank,
@@ -236,17 +205,16 @@ def coloring_cost_dual(g: Graph, c: Coloring, clique) -> DualAssignment:
     return DualAssignment(tuple(y), z, s_mat, dual_obj)
 
 
-def certify_cost(g: Graph, c: Coloring, tau: float = DEFAULT_RANK_TAU,
-                 run_solver: bool = True, solver_tol: float = 1e-8,
-                 extract_tol: float = DEFAULT_EXTRACT_TOL) -> CertificateReport:
+def certify_cost(g: Graph, c: Coloring) -> CertificateReport:
     """Verify that the coloring-dependent cost matrix pins down the coloring.
 
-    Confirms the dual slack is PSD with rank at least n-k+1 and that the
-    reference solution's objective equals the dual objective; optionally also
-    solves the cost SDP on its clique face (formulations.solve_cost) and
-    checks that the solution extracts back to the input partition. The check
-    runs when the solve ends optimal or inaccurate, the statuses the
-    heuristics accept, and fails on any other status.
+    Confirms the dual slack is PSD with rank at least n-k+1 (at
+    linalg.DEFAULT_RANK_TAU) and that the reference solution's objective
+    equals the dual objective; then solves the cost SDP on its clique face
+    (formulations.solve_cost) and checks that the solution extracts back to
+    the input partition. The check runs when the solve ends optimal or
+    inaccurate, the statuses the heuristics accept, and fails on any other
+    status.
     """
     k = c.k
     clique = find_clique(g, k)
@@ -257,19 +225,18 @@ def certify_cost(g: Graph, c: Coloring, tau: float = DEFAULT_RANK_TAU,
     x_ref = reference_solution(g, c)
     primal_obj = float(np.sum(cost * x_ref))
     lam = min_eigenvalue(assignment.S)
-    rank = numerical_rank(assignment.S, tau)
+    rank = numerical_rank(assignment.S)
     objective_match = abs(primal_obj - assignment.dual_obj) <= OBJ_TOL
-    checks = {}
-    if run_solver:
-        sol = solve_cost(g, k, cost, tol=solver_tol)
-        checks["solver_optimal"] = sol.optimal
-        usable = sol.status in (OPTIMAL, INACCURATE)
-        extracted = extract_coloring(sol.X, k, extract_tol) if usable else None
-        checks["solver_extract"] = (extracted is not None
-                                    and extracted.partition() == c.partition())
+    sol = solve_cost(g, k, cost)
+    usable = sol.status in (OPTIMAL, INACCURATE)
+    extracted = extract_coloring(sol.X, k) if usable else None
+    checks = {
+        "solver_optimal": sol.optimal,
+        "solver_extract": extracted is not None and extracted.partition() == c.partition(),
+    }
     psd = lam >= -PSD_SLACK
     rank_ok = rank >= g.n - k + 1
-    verdict = psd and rank_ok and objective_match and checks.get("solver_extract", True)
+    verdict = psd and rank_ok and objective_match and checks["solver_extract"]
     return CertificateReport(
         name=f"cost(k={k}, n={g.n})",
         psd=psd,
@@ -355,8 +322,3 @@ def blend_colorings(g: Graph, c1: Coloring, c2: Coloring, clique,
     g2 = reference_solution(g, relabeled)
     return np.where(g1 == g2, g1, alpha * g1 + (1.0 - alpha) * g2)
 
-
-def dual_vector(edge_order, n: int, assignment: DualAssignment) -> np.ndarray:
-    """Map a (y, z) assignment onto the cost SDP's constraint ordering."""
-    zs = [assignment.z[e] for e in edge_order]
-    return np.array(list(zs) + list(assignment.y), dtype=float)

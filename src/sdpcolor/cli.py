@@ -7,9 +7,8 @@ failure, 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, replace
+from pathlib import Path
 
 from . import fixtures
 from .batch import emit_report, run_batch
@@ -33,40 +32,16 @@ from .graphs import (
     parse_plantri_ascii,
 )
 from .heuristics import COLORED, finalize_certificate, format_log, heuristic1, heuristic2
-from .linalg import DEFAULT_RANK_TAU, min_eigenvalue, numerical_rank
+from .linalg import min_eigenvalue, numerical_rank
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Config:
-    """Tolerance knobs, overridable from a key=value config file."""
-
-    rank_tau: float = DEFAULT_RANK_TAU
-    align_tol: float = 1e-4
-    solver_tol: float = 1e-8
-
-
-def parse_config(text: str) -> Config:
-    cfg = Config()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in ("rank_tau", "align_tol", "solver_tol"):
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        cfg = replace(cfg, **{key: float(value)})
-    return cfg
-
-
 def _read_graph(path: str):
     """Load a graph from a file path or a shipped fixture name."""
-    if os.path.exists(path):
-        text = open(path).read()
+    file = Path(path)
+    if file.exists():
+        text = file.read_text()
     else:
         name = path if path.endswith(".edges") else path + ".edges"
         try:
@@ -85,9 +60,9 @@ def _read_graph(path: str):
     return parse_edge_list(text)
 
 
-def _cmd_svcn(args, cfg: Config) -> int:
+def _cmd_svcn(args) -> int:
     g = _read_graph(args.graph)
-    summary = solve_svcn(g, tol=cfg.solver_tol, tau=cfg.rank_tau)
+    summary = solve_svcn(g)
     sol = summary.solution
     print(
         f"objective={summary.objective:.6f} primal_rank={summary.rank_primal}"
@@ -97,19 +72,19 @@ def _cmd_svcn(args, cfg: Config) -> int:
     return 0 if sol.optimal else 1
 
 
-def _cmd_certify_ktree(args, cfg: Config) -> int:
+def _cmd_certify_ktree(args) -> int:
     if args.graph is not None:
         g = _read_graph(args.graph)
     else:
         if args.n is None:
             raise ValueError("certify-ktree needs --graph or --n")
         g, _ = generate_ktree(args.k, args.n, args.seed)
-    report = certify_ktree(g, args.k, tau=cfg.rank_tau, solver_tol=cfg.solver_tol)
+    report = certify_ktree(g, args.k)
     print(report.to_text())
     return 0 if report.verdict else 1
 
 
-def _cmd_certify_cost(args, cfg: Config) -> int:
+def _cmd_certify_cost(args) -> int:
     g = _read_graph(args.graph)
     if args.colors is not None:
         colorings = enumerate_colorings(g, args.colors, limit=1)
@@ -119,16 +94,15 @@ def _cmd_certify_cost(args, cfg: Config) -> int:
         coloring = colorings[0]
     else:
         _, coloring = chromatic_oracle(g)
-    report = certify_cost(g, coloring, tau=cfg.rank_tau, solver_tol=cfg.solver_tol)
+    report = certify_cost(g, coloring)
     print(report.to_text())
     return 0 if report.verdict else 1
 
 
-def _cmd_color(args, cfg: Config) -> int:
+def _cmd_color(args) -> int:
     g = _read_graph(args.graph)
     runner = heuristic1 if args.algo == 1 else heuristic2
-    outcome = runner(g, align_tol=cfg.align_tol, tau=cfg.rank_tau,
-                     solver_tol=cfg.solver_tol)
+    outcome = runner(g)
     if args.log:
         print(format_log(outcome.log))
     if outcome.status == COLORED:
@@ -145,8 +119,8 @@ def _cmd_color(args, cfg: Config) -> int:
     return 1
 
 
-def _cmd_batch(args, cfg: Config) -> int:
-    text = open(args.corpus).read()
+def _cmd_batch(args) -> int:
+    text = Path(args.corpus).read_text()
     report = run_batch(
         text,
         args.algo,
@@ -160,7 +134,7 @@ def _cmd_batch(args, cfg: Config) -> int:
     return 0 if report.failure_count == 0 else 1
 
 
-def _cmd_oracle(args, cfg: Config) -> int:
+def _cmd_oracle(args) -> int:
     g = _read_graph(args.graph)
     chi, coloring = chromatic_oracle(g)
     count = count_colorings(g, chi, limit=args.count_limit)
@@ -170,7 +144,7 @@ def _cmd_oracle(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_gen_ktree(args, cfg: Config) -> int:
+def _cmd_gen_ktree(args) -> int:
     g, _ = generate_ktree(args.k, args.n, args.seed)
     text = edge_list_text(g)
     if args.out:
@@ -181,7 +155,7 @@ def _cmd_gen_ktree(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_blend(args, cfg: Config) -> int:
+def _cmd_blend(args) -> int:
     g = _read_graph(args.graph)
     k = args.colors
     clique = find_clique(g, k)
@@ -193,13 +167,13 @@ def _cmd_blend(args, cfg: Config) -> int:
         print("graph is uniquely colorable; nothing to blend", file=sys.stderr)
         return 1
     x = blend_colorings(g, colorings[0], colorings[1], clique, args.alpha)
-    rank = numerical_rank(x, cfg.rank_tau)
+    rank = numerical_rank(x)
     lam = min_eigenvalue(x)
     print(f"blend_rank={rank} lambda_min={lam:.3e} target_rank_gt={k - 1}")
     return 0 if rank > k - 1 else 1
 
 
-def _cmd_independent_cost(args, cfg: Config) -> int:
+def _cmd_independent_cost(args) -> int:
     g = _read_graph(args.graph)
     k = args.colors
     cost, assignment = independent_cost(g, k)
@@ -211,7 +185,7 @@ def _cmd_independent_cost(args, cfg: Config) -> int:
     ok = lam >= -1e-10 and gap <= 1e-10
     print(
         f"cliques={cliques} lambda_min={lam:.3e}"
-        f" objective_gap={gap:.3e} rank={numerical_rank(assignment.S, cfg.rank_tau)}"
+        f" objective_gap={gap:.3e} rank={numerical_rank(assignment.S)}"
         f" verdict={ok}"
     )
     return 0 if ok else 1
@@ -222,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sdpcolor",
         description="SDP certificates and heuristics for graph coloring",
     )
-    parser.add_argument("--config", help="key=value tolerance overrides")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("svcn", help="solve the strict vector chromatic number SDP")
@@ -295,8 +268,7 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = parse_config(open(args.config).read()) if args.config else Config()
-        return args.func(args, cfg)
+        return args.func(args)
     except (GraphParseError, ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

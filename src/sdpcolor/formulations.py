@@ -131,16 +131,14 @@ class SvcnSummary:
     def X(self) -> np.ndarray:
         return self.solution.X[1:, 1:]
 
-    @property
-    def S(self) -> np.ndarray:
-        return self.solution.S[1:, 1:]
 
+def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
+    """Solve the strict vector chromatic number SDP; report submatrix ranks.
 
-def solve_svcn(g: Graph, tol: float = 1e-8,
-               tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
-    """Solve the strict vector chromatic number SDP and report submatrix ranks."""
-    inst = build_svcn(g)
-    sol = solve(inst.problem, tol=tol)
+    The solve runs at sdp.DEFAULT_TOL; a rank counts the eigenvalues above
+    tau * max(1, |lambda_1|).
+    """
+    sol = solve(build_svcn(g).problem)
     return SvcnSummary(
         objective=sol.primal_obj,
         rank_primal=numerical_rank(sol.X[1:, 1:], tau),
@@ -149,8 +147,7 @@ def solve_svcn(g: Graph, tol: float = 1e-8,
     )
 
 
-def solve_cost(g: Graph, k: int, cost: np.ndarray,
-               tol: float = 1e-8) -> SdpSolution:
+def solve_cost(g: Graph, k: int, cost: np.ndarray) -> SdpSolution:
     """Solve the cost SDP on its clique face X = V W V^T; lift X and S.
 
     Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
@@ -161,10 +158,11 @@ def solve_cost(g: Graph, k: int, cost: np.ndarray,
     the face's Gram matrix drops the constraints this makes dependent, since
     the solver needs independent rows.
 
-    Returns the face solve with X and S lifted to order n; y holds the kept
-    constraints' duals. S = V S_W V^T need not be an unreduced dual slack: that
-    dual can recede along u_Q u_Q^T, a constraint combination of b-weight 0,
-    without changing its objective, so its optimum need not be attained.
+    Returns the face solve, run at sdp.DEFAULT_TOL, with X and S lifted to
+    order n; y holds the kept constraints' duals. S = V S_W V^T need not be an
+    unreduced dual slack: that dual can recede along u_Q u_Q^T, a constraint
+    combination of b-weight 0, without changing its objective, so its optimum
+    need not be attained.
     """
     problem = build_cost_sdp(g, k, cost).problem
     cliques = enumerate_cliques(g, k)
@@ -178,5 +176,5 @@ def solve_cost(g: Graph, k: int, cost: np.ndarray,
     diag = np.abs(np.diag(r))
     keep = np.sort(piv[diag > 1e-9 * diag[0]])
     face = replace(face, constraints=tuple(problem.constraints[i] for i in keep))
-    sol = solve(face, tol=tol)
+    sol = solve(face)
     return replace(sol, X=symmetrize(v @ sol.X @ v.T), S=symmetrize(v @ sol.S @ v.T))

@@ -24,14 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateReport, certify_cost
-from .formulations import (
-    DEFAULT_EXTRACT_TOL,
-    extract_coloring,
-    reference_solution,
-    solve_cost,
-)
+from .formulations import extract_coloring, reference_solution, solve_cost
 from .graphs import Coloring, Graph, find_clique, validate_coloring
-from .linalg import DEFAULT_RANK_TAU, numerical_rank
+from .linalg import numerical_rank
 from .sdp import INACCURATE, OPTIMAL
 
 ALIGN_TOL = 1e-4
@@ -78,8 +73,7 @@ def format_log(log) -> str:
     )
 
 
-def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray,
-            obj: float, tol: float = DEFAULT_EXTRACT_TOL):
+def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray, obj: float):
     """Snap a reference-shaped iterate to the exact optimum of its face.
 
     Interior-point iterates that land on a reference solution carry square-
@@ -89,7 +83,7 @@ def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray,
     (certified against the dual bound through the iterate's own objective),
     that Gram matrix is the optimum itself, so return it; otherwise None.
     """
-    coloring = extract_coloring(x, k, tol)
+    coloring = extract_coloring(x, k)
     if coloring is None or not validate_coloring(g, coloring):
         return None
     x_ref = reference_solution(g, coloring)
@@ -99,45 +93,44 @@ def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray,
     return x_ref
 
 
-def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE,
-                   tol: float = 1e-8, tau: float = DEFAULT_RANK_TAU):
-    """Solve the cost SDP for g; returns (X, S, rank_primal, rank_dual).
+def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE):
+    """Solve the cost SDP for g; returns (X, rank_primal).
 
-    X and S come lifted from the clique face (formulations.solve_cost). X is
-    the polished optimum when the lifted iterate snaps to one (see _polish),
-    else that iterate, whose solve must then be optimal or inaccurate: an
-    inaccurate iterate is feasible to 10 * tol with a small duality gap, so
-    its entries sit well within the 1e-4 alignment tolerance and the
-    heuristic can still read accept/reject decisions off it. Any other
-    status raises SolverError.
+    X comes lifted from the clique face (formulations.solve_cost). It is the
+    polished optimum when the lifted iterate snaps to one (see _polish), else
+    that iterate, whose solve must then be optimal or inaccurate: an
+    inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with a small
+    duality gap, so its entries sit well within the 1e-4 alignment
+    tolerance and the heuristic can still read accept/reject decisions off
+    it. Any other status raises SolverError. The rank is counted at
+    linalg.DEFAULT_RANK_TAU.
     """
-    sol = solve_cost(g, k, cost, tol=tol)
+    sol = solve_cost(g, k, cost)
     x = _polish(g, k, cost, sol.X, sol.primal_obj)
     if x is None:
         if sol.status not in (OPTIMAL, INACCURATE):
             raise SolverError(f"cost SDP ended with status {sol.status}")
         x = sol.X
-    return x, sol.S, numerical_rank(x, tau), numerical_rank(sol.S, tau)
+    return x, numerical_rank(x)
 
 
-def heuristic1(g: Graph, align_tol: float = ALIGN_TOL,
-               tau: float = DEFAULT_RANK_TAU, solver_tol: float = 1e-8,
-               max_solves: int | None = None) -> HeuristicOutcome:
-    """Chained-cost heuristic: rebuild the cost matrix from whole classes."""
-    return _run(g, chained=True, align_tol=align_tol, tau=tau,
-                solver_tol=solver_tol, max_solves=max_solves)
+def heuristic1(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
+    """Chained-cost heuristic: rebuild the cost matrix from whole classes.
+
+    A run stops as failed after max_solves cost solves (default 4 n^2).
+    """
+    return _run(g, chained=True, max_solves=max_solves)
 
 
-def heuristic2(g: Graph, align_tol: float = ALIGN_TOL,
-               tau: float = DEFAULT_RANK_TAU, solver_tol: float = 1e-8,
-               max_solves: int | None = None) -> HeuristicOutcome:
-    """Single-entry heuristic: link each chosen vertex directly to its anchor."""
-    return _run(g, chained=False, align_tol=align_tol, tau=tau,
-                solver_tol=solver_tol, max_solves=max_solves)
+def heuristic2(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
+    """Single-entry heuristic: link each chosen vertex directly to its anchor.
+
+    A run stops as failed after max_solves cost solves (default 4 n^2).
+    """
+    return _run(g, chained=False, max_solves=max_solves)
 
 
-def _run(g: Graph, chained: bool, align_tol: float, tau: float,
-         solver_tol: float, max_solves: int | None) -> HeuristicOutcome:
+def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     clique = find_clique(g, PALETTE)
     if clique is None:
         raise ValueError("graph has no K_4; the heuristics require one")
@@ -150,7 +143,7 @@ def _run(g: Graph, chained: bool, align_tol: float, tau: float,
     step = 0
 
     def aligned(x, v, a):
-        return abs(x[v - 1, a - 1] - 1.0) <= align_tol
+        return abs(x[v - 1, a - 1] - 1.0) <= ALIGN_TOL
 
     def classes_from(x):
         cls = {a: [] for a in anchors}
@@ -188,10 +181,10 @@ def _run(g: Graph, chained: bool, align_tol: float, tau: float,
         solves += 1
         if solves > budget:
             raise _BudgetExceeded()
-        return solve_modified(g, cost, tol=solver_tol, tau=tau)
+        return solve_modified(g, cost)
 
     try:
-        x, _, rank_p, _ = run_solver()
+        x, rank_p = run_solver()
     except SolverError:
         return HeuristicOutcome(SOLVER_ERROR, None, ((), (), (), ()), -1, solves, tuple(log))
     record(0, 0, "rebuild", rank_p)
@@ -210,7 +203,7 @@ def _run(g: Graph, chained: bool, align_tol: float, tau: float,
                 else:
                     undo()
                     badcolors.add(anchors[q - 1])
-                    x, _, rank_p, _ = run_solver()
+                    x, rank_p = run_solver()
                     record(v, q, "reject", rank_p)
                     continue
 
@@ -226,9 +219,9 @@ def _run(g: Graph, chained: bool, align_tol: float, tau: float,
                         if a in badcolors:
                             continue
                         val = x[v - 1, a - 1]
-                        if abs(val - 1.0) <= align_tol:
+                        if abs(val - 1.0) <= ALIGN_TOL:
                             continue
-                        if abs(val + 1.0 / 3.0) <= align_tol:
+                        if abs(val + 1.0 / 3.0) <= ALIGN_TOL:
                             continue
                         found = (v, q)
                         break
@@ -259,7 +252,7 @@ def _run(g: Graph, chained: bool, align_tol: float, tau: float,
                 def undo(v=v, anchor=anchor):
                     cost[v - 1, anchor - 1] = cost[anchor - 1, v - 1] = 0.0
 
-            x, _, rank_p, _ = run_solver()
+            x, rank_p = run_solver()
             record(v, q, "try", rank_p)
             pending = (v, q, undo)
     except SolverError:

@@ -1,4 +1,4 @@
-"""Standard-form SDP solver over entry constraints, plus duality checks.
+"""Standard-form SDP solver over entry constraints.
 
 Primal:  min C . X   s.t.  A_i . X = b_i,  X PSD
 Dual:    max b^T y   s.t.  S = C - sum_i y_i A_i,  S PSD
@@ -40,13 +40,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .linalg import (
-    DEFAULT_RANK_TAU,
-    min_eigenvalue,
-    numerical_rank,
-    require_symmetric,
-    symmetrize,
-)
+from .linalg import require_symmetric, symmetrize
 
 OPTIMAL = "optimal"
 INACCURATE = "inaccurate"
@@ -155,9 +149,6 @@ class SdpResiduals:
     primal_inf: float  # ||A(X) - b||_inf
     dual_inf: float  # ||S - C + sum y_i A_i||_max
     duality_gap: float  # |C.X - b^T y|
-    xs_inner: float  # X . S
-    min_eig_x: float
-    min_eig_s: float
 
 
 @dataclass(frozen=True)
@@ -393,83 +384,5 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         primal_inf=float(np.max(np.abs(rp))),
         dual_inf=float(np.max(np.abs(rd))),
         duality_gap=abs(pobj - dobj),
-        xs_inner=_inner(x, s),
-        min_eig_x=min_eigenvalue(x),
-        min_eig_s=min_eigenvalue(s),
     )
     return SdpSolution(x, y, s, pobj, dobj, residuals, status, iterations)
-
-
-@dataclass(frozen=True)
-class ComplementarityReport:
-    product_norm: float  # ||X S||_max
-    rank_x: int
-    rank_s: int
-    dim: int
-    verdict: bool
-
-    @property
-    def rank_sum(self) -> int:
-        return self.rank_x + self.rank_s
-
-
-def check_complementarity(x: np.ndarray, s: np.ndarray, tol: float,
-                          tau: float = DEFAULT_RANK_TAU) -> ComplementarityReport:
-    """Verify XS ~ 0 and rank(X) + rank(S) <= dim at the given thresholds."""
-    x = require_symmetric(x)
-    s = require_symmetric(s)
-    if x.shape != s.shape:
-        raise ValueError("dimension mismatch between X and S")
-    product_norm = float(np.max(np.abs(x @ s)))
-    rank_x = numerical_rank(x, tau)
-    rank_s = numerical_rank(s, tau)
-    verdict = (rank_x + rank_s <= x.shape[0]) and (product_norm <= tol)
-    return ComplementarityReport(product_norm, rank_x, rank_s, x.shape[0], verdict)
-
-
-@dataclass(frozen=True)
-class DualFeasibility:
-    S: np.ndarray
-    psd: bool
-    dual_obj: float
-    min_eig: float
-
-
-def verify_feasible_dual(problem: SdpProblem, y, psd_eps: float = 1e-9) -> DualFeasibility:
-    """Reconstruct S = C - sum y_i A_i, test PSD, and report b^T y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ValueError(f"expected {problem.m} dual values, got {y.shape}")
-    ops = ConstraintMap(problem)
-    s = symmetrize(ops.objective - ops.scatter(y))
-    lam = min_eigenvalue(s)
-    slack = psd_eps * (1.0 + abs(lam) + float(np.max(np.abs(s))))
-    return DualFeasibility(s, lam >= -slack, float(ops.b @ y), lam)
-
-
-# Dump format: "dim m", the objective's rows, then per constraint a line
-# "b_i count" followed by count lines "r c value". Face bases are not dumped.
-
-def format_problem(p: SdpProblem) -> str:
-    if p.basis is not None:
-        raise ValueError("the dump holds problems without a face basis")
-    lines = [f"{p.dim} {p.m}"]
-    lines += [" ".join(repr(float(v)) for v in row) for row in p.objective]
-    for entries, bi in p.constraints:
-        lines.append(f"{float(bi)!r} {len(entries)}")
-        lines += [f"{r} {c} {float(v)!r}" for r, c, v in entries]
-    return "\n".join(lines) + "\n"
-
-
-def parse_problem(text: str) -> SdpProblem:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty problem text")
-    dim, m = (int(v) for v in lines[0])
-    objective = np.array([[float(v) for v in row] for row in lines[1:dim + 1]])
-    take = iter(lines[dim + 1:])
-    constraints = []
-    for _ in range(m):
-        bi, count = next(take)
-        constraints.append(([next(take) for _ in range(int(count))], bi))
-    return SdpProblem.build(dim, objective, constraints)

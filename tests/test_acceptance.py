@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph
+from duality import check_complementarity
 from sdpcolor.batch import run_batch
 from sdpcolor.certificates import (
     blend_colorings,
@@ -40,7 +41,7 @@ from sdpcolor.graphs import (
 )
 from sdpcolor.heuristics import COLORED, FAILED, heuristic1, heuristic2
 from sdpcolor.linalg import min_eigenvalue, numerical_rank
-from sdpcolor.sdp import OPTIMAL, check_complementarity, solve
+from sdpcolor.sdp import OPTIMAL, solve
 from test_sdp import diagonal_lp_instance
 
 RANK_TAU = 1e-6
@@ -156,7 +157,7 @@ def test_criterion_5_unique_colorability_equivalence(corpora):
         assert (trace is not None) == unique, f"mismatch at n={g.n}"
         if trace is not None:
             trees += 1
-            cert = certify_ktree(g, 4, tau=RANK_TAU)
+            cert = certify_ktree(g, 4)
             assert cert.verdict and cert.rank >= g.n - 3
         else:
             with pytest.raises(ValueError):
@@ -172,7 +173,7 @@ def test_criterion_6_cost_certificates(corpora):
     solver_checked = 0
     for g in graphs:
         _, coloring = chromatic_oracle(g)
-        cert = certify_cost(g, coloring, tau=RANK_TAU)
+        cert = certify_cost(g, coloring)
         assert cert.verdict, f"n={g.n}: {cert.to_text()}"
         assert cert.psd and cert.rank >= g.n - 3
         assert cert.residuals["objective_gap"] <= 1e-10
@@ -254,7 +255,8 @@ def test_criterion_10_solver_properties():
         sol = solve(problem)
         assert sol.status == OPTIMAL
         assert sol.primal_obj >= sol.dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
-        assert check_complementarity(sol.X, sol.S, tol=1e-5).verdict
+        verdict, *_ = check_complementarity(sol.X, sol.S, tol=1e-5)
+        assert verdict
         lp = linprog(c_diag, A_eq=rows, b_eq=b, bounds=(0, None), method="highs")
         assert lp.success
         assert abs(sol.primal_obj - lp.fun) <= 1e-7 * (1 + abs(lp.fun))

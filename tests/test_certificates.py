@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, path_graph
+from duality import dual_vector, verify_feasible_dual
 from sdpcolor.certificates import (
     blend_colorings,
     certify_cost,
     certify_ktree,
     coloring_cost_dual,
     coloring_cost_matrix,
-    dual_vector,
     independent_cost,
     ktree_dual,
 )
@@ -29,8 +29,7 @@ from sdpcolor.graphs import (
     generate_ktree,
     is_ktree,
 )
-from sdpcolor.linalg import eigen_sym, is_psd, min_eigenvalue, numerical_rank
-from sdpcolor.sdp import verify_feasible_dual
+from sdpcolor.linalg import numerical_rank
 
 
 def five_vertex_three_tree():
@@ -59,8 +58,8 @@ class TestKtreeDual:
         offdiag = s.sum() - np.trace(s)
         assert abs(offdiag - 1.0) < 1e-12
         assert abs(np.trace(s) - 1.0 / 3.0) < 1e-12
-        dec = eigen_sym(s)  # eigendecomposition oracle for the rank
-        assert np.sum(dec.eigenvalues > 1e-9) == 2
+        w = np.linalg.eigvalsh(s)  # eigenvalue oracle for the rank
+        assert np.sum(w > 1e-9) == 2
 
     def test_nonedges_zero(self):
         g, trace = generate_ktree(3, 9, seed=11)
@@ -107,12 +106,9 @@ class TestCertifyKtree:
 
     def test_report_serialization(self):
         g, _ = generate_ktree(3, 7, seed=2)
-        report = certify_ktree(g, 3, run_solver=False)
+        report = certify_ktree(g, 3)
         text = report.to_text()
         assert "verdict" in text and "rank" in text
-        kv = dict(line.split("=", 1) for line in report.to_kv().splitlines())
-        assert kv["verdict"] == "true"
-        assert int(kv["rank"]) == report.rank
 
 
 class TestColoringCostMatrix:
@@ -175,11 +171,11 @@ class TestColoringCostDual:
         c = chromatic_oracle(fig4)[1]
         assignment = coloring_cost_dual(fig4, c, find_clique(fig4, 4))
         inst = build_cost_sdp(fig4, 4, coloring_cost_matrix(fig4, c))
-        y = dual_vector(inst.edge_order, fig4.n, assignment)
-        report = verify_feasible_dual(inst.problem, y)
-        assert report.psd
-        assert abs(report.dual_obj - assignment.dual_obj) < 1e-9
-        assert np.allclose(report.S, assignment.S, atol=1e-12)
+        y = dual_vector(inst.edge_order, assignment)
+        s, psd, dual_obj = verify_feasible_dual(inst.problem, y)
+        assert psd
+        assert abs(dual_obj - assignment.dual_obj) < 1e-9
+        assert np.allclose(s, assignment.S, atol=1e-12)
 
     def test_invalid_clique_rejected(self):
         g = path_graph(3)
@@ -217,7 +213,7 @@ class TestCertifyCost:
 
     def test_exact_objective_match(self):
         g, _ = generate_ktree(3, 10, seed=9)
-        report = certify_cost(g, chromatic_oracle(g)[1], run_solver=False)
+        report = certify_cost(g, chromatic_oracle(g)[1])
         assert report.objective_match
         assert report.residuals["objective_gap"] == 0.0
 
@@ -254,7 +250,8 @@ class TestIndependentCost:
                 x[v - 1] = 1.0
             total += np.outer(x, x)
         assert np.array_equal(assignment.S, total)
-        assert is_psd(assignment.S)
+        w = np.linalg.eigvalsh(assignment.S)  # PSD up to 1e-9 * (1 + |lambda_1|)
+        assert w[0] >= -1e-9 * (1.0 + abs(w[-1]))
 
     def test_objective_matches_any_feasible(self):
         g, _ = generate_ktree(4, 8, seed=12)
@@ -279,8 +276,8 @@ class TestBlendColorings:
         c1 = Coloring(4, (1, 2, 3, 4, 3))
         c2 = Coloring(4, (1, 2, 3, 4, 4))
         x = blend_colorings(g, c1, c2, (1, 2, 3, 4), 0.5)
-        dec = eigen_sym(x)
-        assert np.sum(dec.eigenvalues > 1e-9) == 4
+        w = np.linalg.eigvalsh(x)
+        assert np.sum(w > 1e-9) == 4
 
     def test_constraints_exact(self):
         g = self.pendant_graph()

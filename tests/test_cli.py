@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sdpcolor.batch import BatchReport, emit_report, run_batch
-from sdpcolor.cli import Config, cli_main, parse_config
+from sdpcolor.cli import cli_main
 from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text
 from sdpcolor.graphs import parse_edge_list
 
@@ -80,29 +80,6 @@ class TestExitCodes:
         assert "verdict: True" in out
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = parse_config("")
-        assert cfg == Config()
-
-    def test_overrides_and_comments(self):
-        cfg = parse_config("# tolerances\nrank_tau = 1e-5\nalign_tol=2e-4\n")
-        assert cfg.rank_tau == 1e-5
-        assert cfg.align_tol == 2e-4
-        assert cfg.solver_tol == 1e-8
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("bogus=1\n")
-
-    def test_cli_reads_config(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg"
-        cfg_path.write_text("rank_tau=1e-6\n")
-        code = cli_main(["--config", str(cfg_path), "oracle", "--graph",
-                         fixture_path("fig3.edges")])
-        assert code == 0
-
-
 class TestBatchCommand:
     def test_batch_text_output(self, capsys):
         code = cli_main([
@@ -126,10 +103,37 @@ class TestBatchCommand:
         text = fixture_text(corpus_name(7))
         ck = tmp_path / "progress"
         first = run_batch(text, 1, checkpoint=str(ck))
-        assert ck.exists() and len(ck.read_text().splitlines()) == 4
+        stored = ck.read_text()
+        assert len(stored.splitlines()) == 1 + 4  # header + one row per graph with a K_4
         resumed = run_batch(text, 1, checkpoint=str(ck))
-        assert [r.status for r in resumed.rows] == [r.status for r in first.rows]
-        assert all(r.solves == 0 for r in resumed.rows)  # nothing re-run
+        assert ck.read_text() == stored  # nothing re-run
+        assert resumed.rows == first.rows
+
+    def test_checkpoint_resume_after_kill(self, tmp_path):
+        # A killed run leaves two finished rows and a torn third line.
+        text = fixture_text(corpus_name(7))
+        ck = tmp_path / "progress"
+        first = run_batch(text, 1, checkpoint=str(ck))
+        header, *lines = ck.read_text().splitlines()
+        kept = [f"{r.index} {r.status} 99 12.5" for r in first.rows[:2]]
+        ck.write_text("\n".join([header, *kept, lines[2][:3]]))
+        resumed = run_batch(text, 1, checkpoint=str(ck))
+        assert [(r.solves, r.seconds) for r in resumed.rows[:2]] == [(99, 12.5)] * 2
+        assert [(r.index, r.status, r.solves) for r in resumed.rows[2:]] == [
+            (r.index, r.status, r.solves) for r in first.rows[2:]
+        ]
+        rerun = [f"{r.index} {r.status} {r.solves} {r.seconds!r}" for r in resumed.rows[2:]]
+        assert ck.read_text().splitlines() == [header, *kept, *rerun]
+
+    def test_checkpoint_header_mismatch(self, tmp_path):
+        text = fixture_text(corpus_name(5))
+        ck = tmp_path / "progress"
+        run_batch(text, 1, checkpoint=str(ck))
+        for other in (dict(algo=2), dict(max_solves=3),
+                      dict(corpus_text=fixture_text(corpus_name(6)))):
+            args = dict(corpus_text=text, algo=1, checkpoint=str(ck)) | other
+            with pytest.raises(ValueError):
+                run_batch(**args)
 
     def test_long_mode_guard(self):
         # fabricate a 12-vertex corpus line: n > 11 requires long_mode

@@ -19,12 +19,12 @@ from sdpcolor.heuristics import (
 
 class TestSolveModified:
     def test_k4_zero_cost_rank_three(self):
-        x, s, rank_p, rank_d = solve_modified(complete_graph(4), np.zeros((4, 4)))
+        x, rank_p = solve_modified(complete_graph(4), np.zeros((4, 4)))
         assert rank_p == 3
         assert np.allclose(np.diag(x), 1.0, atol=1e-6)
 
     def test_fig3_zero_cost_high_rank(self, fig3):
-        x, _, rank_p, _ = solve_modified(fig3, np.zeros((12, 12)))
+        _, rank_p = solve_modified(fig3, np.zeros((12, 12)))
         assert rank_p > 3
 
     def test_best_iterate_rule_accepts_stalled_solve(self, corpora):
@@ -45,7 +45,7 @@ class TestSolveModified:
         cost = np.zeros((g.n, g.n))
         for i, j in ((1, 2), (4, 7)):
             cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
-        x, *_ = solve_modified(g, cost)
+        x, _ = solve_modified(g, cost)
         assert abs(np.sum(cost * x) + 2.8462808) <= 1e-6
         cliques = enumerate_cliques(g, 4)
         assert len(cliques) == 2

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpcolor.linalg import (
-    eigen_sym,
     gram_factor,
-    is_psd,
     min_eigenvalue,
     numerical_rank,
     require_symmetric,
@@ -16,11 +14,6 @@ from sdpcolor.linalg import (
 )
 
 RNG = np.random.default_rng(20240811)
-
-
-def random_symmetric(dim, rng=RNG):
-    a = rng.normal(size=(dim, dim))
-    return symmetrize(a + a.T)
 
 
 def random_psd(dim, rank, rng=RNG):
@@ -32,50 +25,57 @@ def random_psd(dim, rank, rng=RNG):
 
 
 class TestEigenSym:
+    """The symmetric eigendecomposition inside gram_factor, numerical_rank
+    and min_eigenvalue. For PSD a, gram_factor(a) = Q diag(sqrt(w)) with the
+    nonzero eigenvalues w descending, so its Gram matrix V^T V is diag(w)."""
+
+    @staticmethod
+    def spectrum(a):
+        v = gram_factor(a)
+        return np.diag(v.T @ v)
+
     def test_identity(self):
-        dec = eigen_sym(np.eye(3))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
+        assert np.allclose(self.spectrum(np.eye(3)), [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_all_ones(self, k):
-        dec = eigen_sym(np.ones((k, k)))
-        assert abs(dec.eigenvalues[0] - k) < 1e-12
-        assert np.max(np.abs(dec.eigenvalues[1:])) < 1e-12
+        w = self.spectrum(np.ones((k, k)))
+        assert w.shape == (1,) and abs(w[0] - k) < 1e-12
+        assert numerical_rank(np.ones((k, k)), tau=1e-13) == 1  # rest below k * 1e-13
 
     def test_two_by_two_hand_value(self):
         a = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        dec = eigen_sym(a)
-        assert np.allclose(dec.eigenvalues, [1.5, 0.5], atol=1e-14)
+        assert np.allclose(self.spectrum(a), [1.5, 0.5], atol=1e-14)
 
     def test_descending_order(self):
-        dec = eigen_sym(np.diag([3.0, -1.0, 7.0]))
-        assert list(dec.eigenvalues) == sorted(dec.eigenvalues, reverse=True)
+        w = self.spectrum(np.diag([3.0, 1.0, 7.0]))
+        assert list(w) == sorted(w, reverse=True)
 
     @pytest.mark.parametrize("dim", [2, 5, 17, 40, 64])
     def test_reconstruction_and_orthonormality(self, dim):
-        a = random_symmetric(dim)
-        dec = eigen_sym(a)
+        a = random_psd(dim, dim)
+        v = gram_factor(a)
         scale = 1.0 + np.max(np.abs(a))
-        assert np.max(np.abs(dec.reconstruct() - a)) <= 1e-10 * scale
-        q = dec.eigenvectors
+        assert np.max(np.abs(v @ v.T - a)) <= 1e-10 * scale
+        q = v / np.sqrt(self.spectrum(a))
         assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-10
 
     def test_trace_matches_eigenvalue_sum(self):
         for dim in (3, 10, 30):
-            a = random_symmetric(dim)
-            dec = eigen_sym(a)
+            a = random_psd(dim, dim)
             tol = 1e-9 * dim * np.max(np.abs(a))
-            assert abs(dec.eigenvalues.sum() - np.trace(a)) <= tol
+            assert abs(self.spectrum(a).sum() - np.trace(a)) <= tol
 
     def test_two_by_two_determinant(self):
-        a = random_symmetric(2)
-        dec = eigen_sym(a)
+        a = random_psd(2, 2)
         tol = 1e-9 * 2 * np.max(np.abs(a))
-        assert abs(dec.eigenvalues.prod() - np.linalg.det(a)) <= tol
+        assert abs(self.spectrum(a).prod() - np.linalg.det(a)) <= tol
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        for fn in (gram_factor, numerical_rank, min_eigenvalue):
+            with pytest.raises(ValueError):
+                fn(a)
 
 
 class TestNumericalRank:
@@ -86,10 +86,6 @@ class TestNumericalRank:
         x = np.full((4, 4), -1.0 / 3.0)
         np.fill_diagonal(x, 1.0)
         assert numerical_rank(x) == 3
-
-    def test_accepts_decomposition(self):
-        dec = eigen_sym(np.eye(5))
-        assert numerical_rank(dec) == 5
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
@@ -111,23 +107,6 @@ class TestNumericalRank:
         scale = data.draw(st.sampled_from([1.0, 7.0, 1e3, 1e6]))
         assert numerical_rank(a) == rank
         assert numerical_rank(scale * a) == rank
-
-
-class TestIsPsd:
-    def test_all_ones(self):
-        assert is_psd(np.ones((5, 5)))
-
-    def test_indefinite(self):
-        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_near_zero_slack(self):
-        a = np.diag([1.0, -1e-12])
-        assert is_psd(a)
-        assert not is_psd(a, eps=0.0)
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            is_psd(np.eye(2), eps=-1.0)
 
 
 class TestGramFactor:

@@ -6,10 +6,11 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from conftest import complete_graph, path_graph
+from duality import check_complementarity, verify_feasible_dual
 from sdpcolor.certificates import ktree_dual
 from sdpcolor.formulations import build_cost_sdp, build_svcn, reference_solution
 from sdpcolor.graphs import Coloring, enumerate_cliques, find_clique, is_ktree
-from sdpcolor.linalg import symmetrize
+from sdpcolor.linalg import min_eigenvalue, symmetrize
 from sdpcolor.sdp import (
     DEFAULT_TOL,
     INACCURATE,
@@ -17,11 +18,7 @@ from sdpcolor.sdp import (
     OPTIMAL,
     ConstraintMap,
     SdpProblem,
-    check_complementarity,
-    format_problem,
-    parse_problem,
     solve,
-    verify_feasible_dual,
 )
 
 
@@ -100,14 +97,15 @@ class TestSolverProperties:
             assert sol.residuals.dual_inf <= 1e-8 * scale
             gap = abs(sol.primal_obj - sol.dual_obj)
             assert gap <= 1e-8 * (1.0 + abs(sol.primal_obj))
-            assert sol.residuals.min_eig_x >= -1e-9
-            assert sol.residuals.min_eig_s >= -1e-9
+            assert min_eigenvalue(sol.X) >= -1e-9
+            assert min_eigenvalue(sol.S) >= -1e-9
 
     def test_complementarity_on_optimal_solves(self, solved_batch):
         for _, sol in solved_batch:
             if sol.status == OPTIMAL:
-                report = check_complementarity(sol.X, sol.S, tol=1e-5)
-                assert report.verdict, (report.product_norm, report.rank_sum)
+                verdict, product_norm, rank_x, rank_s = check_complementarity(
+                    sol.X, sol.S, tol=1e-5)
+                assert verdict, (product_norm, rank_x + rank_s)
 
     def test_deterministic(self):
         problem = build_svcn(complete_graph(4)).problem
@@ -215,14 +213,14 @@ class TestCheckComplementarity:
         g = complete_graph(4)
         x = reference_solution(g, Coloring(4, (1, 2, 3, 4)))
         s = ktree_dual(g, is_ktree(g, 4))
-        report = check_complementarity(x, s, tol=1e-5)
-        assert report.verdict
-        assert report.product_norm <= 1e-12  # closed forms multiply to zero
-        assert report.rank_x == 3 and report.rank_s == 1
+        verdict, product_norm, rank_x, rank_s = check_complementarity(x, s, tol=1e-5)
+        assert verdict
+        assert product_norm <= 1e-12  # closed forms multiply to zero
+        assert rank_x == 3 and rank_s == 1
 
     def test_identity_pair_fails(self):
-        report = check_complementarity(np.eye(3), np.eye(3), tol=1e-5)
-        assert not report.verdict
+        verdict, *_ = check_complementarity(np.eye(3), np.eye(3), tol=1e-5)
+        assert not verdict
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -238,21 +236,21 @@ class TestVerifyFeasibleDual:
         inst = build_cost_sdp(g, 2, cost)
         assert inst.edge_order == ((1, 2), (2, 3))
         y = np.array([-1.0, 0.0, -2.0, -1.0, -1.0])  # z_12, z_23, y_1, y_2, y_3
-        report = verify_feasible_dual(inst.problem, y)
+        s, psd, dual_obj = verify_feasible_dual(inst.problem, y)
         expected = np.array([[2.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        assert np.array_equal(report.S, expected)
-        assert report.psd
-        assert abs(report.dual_obj + 2.0) < 1e-12
+        assert np.array_equal(s, expected)
+        assert psd
+        assert abs(dual_obj + 2.0) < 1e-12
 
     def test_zero_dual_with_psd_objective(self):
         problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
-        report = verify_feasible_dual(problem, [0.0])
-        assert report.psd and np.array_equal(report.S, np.eye(2))
+        s, psd, _ = verify_feasible_dual(problem, [0.0])
+        assert psd and np.array_equal(s, np.eye(2))
 
     def test_negative_diagonal_detected(self):
         problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0)], 1.0)])
-        report = verify_feasible_dual(problem, [2.0])
-        assert not report.psd
+        _, psd, _ = verify_feasible_dual(problem, [2.0])
+        assert not psd
 
     def test_wrong_length(self):
         problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
@@ -260,16 +258,7 @@ class TestVerifyFeasibleDual:
             verify_feasible_dual(problem, [1.0, 2.0])
 
 
-class TestProblemDump:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        problem, *_ = diagonal_lp_instance(rng, 4, 2)
-        back = parse_problem(format_problem(problem))
-        assert back.dim == problem.dim and back.m == problem.m
-        assert np.array_equal(back.objective, problem.objective)
-        for (e1, b1), (e2, b2) in zip(back.constraints, problem.constraints):
-            assert e1 == e2 and b1 == b2
-
+class TestSdpProblem:
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             SdpProblem.build(2, np.eye(2), [])
