@@ -228,10 +228,10 @@ def certify_cost(g: Graph, c: Coloring) -> CertificateReport:
     rank = numerical_rank(assignment.S)
     objective_match = abs(primal_obj - assignment.dual_obj) <= OBJ_TOL
     sol = solve_cost(g, k, cost)
-    usable = sol.status in (OPTIMAL, INACCURATE)
+    usable = sol.face.status in (OPTIMAL, INACCURATE)
     extracted = extract_coloring(sol.X, k) if usable else None
     checks = {
-        "solver_optimal": sol.optimal,
+        "solver_optimal": sol.face.optimal,
         "solver_extract": extracted is not None and extracted.partition() == c.partition(),
     }
     psd = lam >= -PSD_SLACK

@@ -20,39 +20,31 @@ from .sdp import ConstraintMap, SdpProblem, SdpSolution, solve
 DEFAULT_EXTRACT_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class SdpInstance:
-    """A coloring SDP; its first |E| constraints belong to edge_order's edges."""
-
-    problem: SdpProblem
-    edge_order: tuple
-
-
-def build_svcn(g: Graph) -> SdpInstance:
+def build_svcn(g: Graph) -> SdpProblem:
     """Assemble the (n+1)-dimensional strict vector chromatic number SDP.
 
-    Constraints, in order: z_ij + z_00 = 0 per edge, z_ii = 1 per vertex,
-    z_0i = 0 per vertex; m = |E| + 2n. Solving gives the strict vector
-    chromatic number as the primal objective (-z_00).
+    Constraints, in order: z_ij + z_00 = 0 per edge of g.edge_list(), z_ii = 1
+    per vertex, z_0i = 0 per vertex; m = |E| + 2n. Solving gives the strict
+    vector chromatic number as the primal objective (-z_00).
     """
     n = g.n
     dim = n + 1
     objective = np.zeros((dim, dim))
     objective[0, 0] = -1.0
-    edges = tuple(g.edge_list())
-    constraints = [(((0, 0, 1.0), (i, j, 0.5)), 0.0) for i, j in edges]
+    constraints = [(((0, 0, 1.0), (i, j, 0.5)), 0.0) for i, j in g.edge_list()]
     constraints += [(((i, i, 1.0),), 1.0) for i in g.vertices()]
     constraints += [(((0, i, 0.5),), 0.0) for i in g.vertices()]
-    return SdpInstance(SdpProblem.build(dim, objective, constraints), edges)
+    return SdpProblem.build(dim, objective, constraints)
 
 
-def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpInstance:
+def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpProblem:
     """Assemble the cost SDP: X_ij = -1/(k-1) on edges, unit diagonal.
 
-    Each edge constraint is the entry pair X_ij = X_ji with coefficient 1 and
-    right-hand side -2/(k-1), so the solver's dual values are exactly the z_e
-    of the paper-form dual, and the dual objective is sum y_i - (2/(k-1))
-    sum z_e.
+    Constraints, in order: one per edge of g.edge_list(), then one per
+    vertex. Each edge constraint is the entry pair X_ij = X_ji with
+    coefficient 1 and right-hand side -2/(k-1), so the solver's dual values
+    are exactly the z_e of the paper-form dual, and the dual objective is
+    sum y_i - (2/(k-1)) sum z_e.
 
     This is the paper's unreduced SDP (dim n, m = |E| + n). For every K_k Q
     with indicator vector u_Q it forces u_Q^T X u_Q = k - k = 0, so every
@@ -64,10 +56,9 @@ def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpInstance:
     c = np.asarray(c, dtype=float)
     if c.shape != (g.n, g.n):
         raise ValueError("cost matrix dimension mismatch")
-    edges = tuple(g.edge_list())
-    constraints = [(((i - 1, j - 1, 1.0),), -2.0 / (k - 1)) for i, j in edges]
+    constraints = [(((i - 1, j - 1, 1.0),), -2.0 / (k - 1)) for i, j in g.edge_list()]
     constraints += [(((i - 1, i - 1, 1.0),), 1.0) for i in g.vertices()]
-    return SdpInstance(SdpProblem.build(g.n, c, constraints), edges)
+    return SdpProblem.build(g.n, c, constraints)
 
 
 def reference_solution(g: Graph, c: Coloring) -> np.ndarray:
@@ -138,7 +129,7 @@ def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
     The solve runs at sdp.DEFAULT_TOL; a rank counts the eigenvalues above
     tau * max(1, |lambda_1|).
     """
-    sol = solve(build_svcn(g).problem)
+    sol = solve(build_svcn(g))
     return SvcnSummary(
         objective=sol.primal_obj,
         rank_primal=numerical_rank(sol.X[1:, 1:], tau),
@@ -147,8 +138,21 @@ def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
     )
 
 
-def solve_cost(g: Graph, k: int, cost: np.ndarray) -> SdpSolution:
-    """Solve the cost SDP on its clique face X = V W V^T; lift X and S.
+@dataclass(frozen=True)
+class CostSolution:
+    """A cost SDP solve on the clique face X = V W V^T.
+
+    X alone is lifted to order n. face is the solver's own solution in face
+    coordinates: its X is W and its S the face slack S_W, both of order V's
+    column count, and its y holds the kept constraints' duals.
+    """
+
+    X: np.ndarray
+    face: SdpSolution
+
+
+def solve_cost(g: Graph, k: int, cost: np.ndarray) -> CostSolution:
+    """Solve the cost SDP on its clique face X = V W V^T; lift X.
 
     Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
     for every feasible X: the unreduced SDP has no interior, and interior-point
@@ -158,13 +162,12 @@ def solve_cost(g: Graph, k: int, cost: np.ndarray) -> SdpSolution:
     the face's Gram matrix drops the constraints this makes dependent, since
     the solver needs independent rows.
 
-    Returns the face solve, run at sdp.DEFAULT_TOL, with X and S lifted to
-    order n; y holds the kept constraints' duals. S = V S_W V^T need not be an
-    unreduced dual slack: that dual can recede along u_Q u_Q^T, a constraint
-    combination of b-weight 0, without changing its objective, so its optimum
-    need not be attained.
+    The face solve runs at sdp.DEFAULT_TOL. Its S_W stays in face coordinates:
+    V S_W V^T need not be an unreduced dual slack, since that dual can recede
+    along u_Q u_Q^T, a constraint combination of b-weight 0, without changing
+    its objective, so its optimum need not be attained.
     """
-    problem = build_cost_sdp(g, k, cost).problem
+    problem = build_cost_sdp(g, k, cost)
     cliques = enumerate_cliques(g, k)
     u = np.zeros((g.n, len(cliques)))
     for col, q in enumerate(cliques):
@@ -177,4 +180,4 @@ def solve_cost(g: Graph, k: int, cost: np.ndarray) -> SdpSolution:
     keep = np.sort(piv[diag > 1e-9 * diag[0]])
     face = replace(face, constraints=tuple(problem.constraints[i] for i in keep))
     sol = solve(face)
-    return replace(sol, X=symmetrize(v @ sol.X @ v.T), S=symmetrize(v @ sol.S @ v.T))
+    return CostSolution(symmetrize(v @ sol.X @ v.T), sol)

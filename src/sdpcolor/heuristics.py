@@ -106,10 +106,10 @@ def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE):
     linalg.DEFAULT_RANK_TAU.
     """
     sol = solve_cost(g, k, cost)
-    x = _polish(g, k, cost, sol.X, sol.primal_obj)
+    x = _polish(g, k, cost, sol.X, sol.face.primal_obj)
     if x is None:
-        if sol.status not in (OPTIMAL, INACCURATE):
-            raise SolverError(f"cost SDP ended with status {sol.status}")
+        if sol.face.status not in (OPTIMAL, INACCURATE):
+            raise SolverError(f"cost SDP ended with status {sol.face.status}")
         x = sol.X
     return x, numerical_rank(x)
 

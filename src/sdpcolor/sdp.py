@@ -10,7 +10,14 @@ X = V W V^T; the solver then works in W.
 
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
-the dense m x m Schur complement each iteration. It is deterministic. It
+the dense m x m Schur complement each iteration. The per-iteration kernels are
+direct LAPACK calls. The Schur matrix is factored by dpotrf and solved by
+dpotrs; when dpotrf finds a leading minor that is not positive definite (the
+matrix turns numerically singular near some optima), a jittered LU
+(dgetrf/dgetrs) takes over for that iteration. A step length to the PSD
+boundary is -1/lambda_min of the pencil (dP, P), P = X or S, from one dsygv
+call (Cholesky of P, reduction, eigenvalues); when P's Cholesky fails, an eigh
+of P gives the eigenvalues instead. It is deterministic. It
 assumes independent constraints and a feasible set with an interior: when the
 interior is empty, steps shrink toward the boundary and the solve can stall
 until the iteration cap; it then returns its best-merit iterate, which is
@@ -37,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy import sparse
+from scipy.linalg import lapack
 
 from .linalg import require_symmetric, symmetrize
 
@@ -172,12 +179,22 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
-    """Largest alpha with p + alpha*dp still PSD (p assumed PD)."""
-    w, q = np.linalg.eigh(p)
-    w = np.clip(w, w[-1] * 1e-14 if w[-1] > 0 else 1e-300, None)
-    inv_half = q / np.sqrt(w)
-    z = inv_half.T @ dp @ inv_half
-    lam = float(np.linalg.eigvalsh(symmetrize(z))[0])
+    """Largest alpha with p + alpha*dp still PSD (p assumed PD).
+
+    The step is -1/lambda_min of the pencil (dp, p), whose eigenvalues are
+    those of L^-1 dp L^-T for the Cholesky factor L of p; LAPACK's dsygv
+    factors p, reduces the pencil and takes its eigenvalues in one call. When
+    that Cholesky fails, the eigenvalues are those of p^-1/2 dp p^-1/2 with
+    p's spectrum clipped away from zero.
+    """
+    w, _, info = lapack.dsygv(dp, p, itype=1, jobz="N")
+    if info == 0:
+        lam = float(w[0])
+    else:
+        w, q = np.linalg.eigh(p)
+        w = np.clip(w, w[-1] * 1e-14 if w[-1] > 0 else 1e-300, None)
+        inv_half = q / np.sqrt(w)
+        lam = float(np.linalg.eigvalsh(symmetrize(inv_half.T @ dp @ inv_half))[0])
     if lam >= -1e-13:
         return np.inf
     return -1.0 / lam
@@ -194,25 +211,24 @@ def _inv_psd(s: np.ndarray) -> np.ndarray:
 class _Factor:
     """Factor a symmetric positive definite system once; solve with refinement.
 
-    Two steps of iterative refinement recover most of the accuracy lost to the
+    LAPACK's dpotrf/dpotrs, called directly; when dpotrf reports a leading
+    minor that is not positive definite, a jittered LU (dgetrf/dgetrs). Two
+    steps of iterative refinement recover most of the accuracy lost to the
     Schur complement's growing condition number near convergence.
     """
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
-        self._cho = None
-        self._lu = None
-        try:
-            self._cho = sla.cho_factor(mat, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        self._cho, info = lapack.dpotrf(mat, lower=1, clean=0)
+        if info != 0:
+            self._cho = None
             jitter = 1e-12 * (1.0 + float(np.trace(mat)) / mat.shape[0])
-            self._lu = sla.lu_factor(mat + jitter * np.eye(mat.shape[0]),
-                                     check_finite=False)
+            self._lu, self._piv, _ = lapack.dgetrf(mat + jitter * np.eye(mat.shape[0]))
 
     def _apply(self, h: np.ndarray) -> np.ndarray:
         if self._cho is not None:
-            return sla.cho_solve(self._cho, h, check_finite=False)
-        return sla.lu_solve(self._lu, h, check_finite=False)
+            return lapack.dpotrs(self._cho, h, lower=1)[0]
+        return lapack.dgetrs(self._lu, self._piv, h)[0]
 
     def solve(self, h: np.ndarray) -> np.ndarray:
         x = self._apply(h)
@@ -259,7 +275,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     The status is optimal, inaccurate, max-iterations or numerical-failure,
     chosen by the rules in the module docstring. Every status comes with the
     returned iterate's residuals. With a face basis V, X and S are those of W,
-    of order V's column count, and the caller lifts them.
+    of order V's column count, and the caller lifts what it needs.
     """
     ops = ConstraintMap(problem)
     b = ops.b

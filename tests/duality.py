@@ -38,7 +38,8 @@ def verify_feasible_dual(problem, y):
     return s, lam >= -slack, float(ops.b @ y)
 
 
-def dual_vector(edge_order, assignment):
-    """Map a (y, z) assignment onto the cost SDP's constraint order: z, then y."""
-    zs = [assignment.z[e] for e in edge_order]
+def dual_vector(g, assignment):
+    """Map a (y, z) assignment onto the cost SDP's constraint order: z in
+    g.edge_list() order, then y."""
+    zs = [assignment.z[e] for e in g.edge_list()]
     return np.array(zs + list(assignment.y), dtype=float)

@@ -261,7 +261,7 @@ def test_criterion_10_solver_properties():
         assert lp.success
         assert abs(sol.primal_obj - lp.fun) <= 1e-7 * (1 + abs(lp.fun))
         lp_checked += 1
-    svcn_problem = build_svcn(load_figure("fig4")).problem
+    svcn_problem = build_svcn(load_figure("fig4"))
     first = solve(svcn_problem)
     second = solve(svcn_problem)
     assert first.iterations == second.iterations

@@ -170,9 +170,9 @@ class TestColoringCostDual:
     def test_dual_vector_feasible_through_solver_interface(self, fig4):
         c = chromatic_oracle(fig4)[1]
         assignment = coloring_cost_dual(fig4, c, find_clique(fig4, 4))
-        inst = build_cost_sdp(fig4, 4, coloring_cost_matrix(fig4, c))
-        y = dual_vector(inst.edge_order, assignment)
-        s, psd, dual_obj = verify_feasible_dual(inst.problem, y)
+        problem = build_cost_sdp(fig4, 4, coloring_cost_matrix(fig4, c))
+        y = dual_vector(fig4, assignment)
+        s, psd, dual_obj = verify_feasible_dual(problem, y)
         assert psd
         assert abs(dual_obj - assignment.dual_obj) < 1e-9
         assert np.allclose(s, assignment.S, atol=1e-12)

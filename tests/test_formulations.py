@@ -19,17 +19,16 @@ from sdpcolor.sdp import solve
 
 class TestBuildSvcn:
     def test_constraint_count(self, fig3):
-        inst = build_svcn(fig3)
-        assert inst.problem.dim == fig3.n + 1
-        assert inst.problem.m == len(fig3.edges) + 2 * fig3.n
+        problem = build_svcn(fig3)
+        assert problem.dim == fig3.n + 1
+        assert problem.m == len(fig3.edges) + 2 * fig3.n
 
     def test_sparse_constraints(self, fig3):
-        for entries, _ in build_svcn(fig3).problem.constraints:
+        for entries, _ in build_svcn(fig3).constraints:
             assert len({(r, c) for r, c, _ in entries}) <= 2
 
     def test_objective_is_alpha_cell(self):
-        inst = build_svcn(complete_graph(3))
-        objective = inst.problem.objective
+        objective = build_svcn(complete_graph(3)).objective
         assert objective[0, 0] == -1.0 and np.count_nonzero(objective) == 1
 
     @pytest.mark.parametrize("k,target", [(2, -1.0), (3, -0.5), (4, -1.0 / 3.0)])
@@ -48,19 +47,19 @@ class TestBuildSvcn:
 
 class TestBuildCostSdp:
     def test_constraint_count(self, fig3):
-        inst = build_cost_sdp(fig3, 4, np.zeros((12, 12)))
-        assert inst.problem.m == len(fig3.edges) + fig3.n
+        problem = build_cost_sdp(fig3, 4, np.zeros((12, 12)))
+        assert problem.m == len(fig3.edges) + fig3.n
 
     def test_zero_cost_objective(self):
         g = complete_graph(4)
-        sol = solve(build_cost_sdp(g, 4, np.zeros((4, 4))).problem)
+        sol = solve(build_cost_sdp(g, 4, np.zeros((4, 4))))
         assert abs(sol.primal_obj) <= 1e-7
 
     def test_coloring_cost_objective_is_cost_sum(self):
         g, _ = generate_ktree(4, 9, seed=3)
         _, coloring = chromatic_oracle(g)
         cost = coloring_cost_matrix(g, coloring)
-        sol = solve(build_cost_sdp(g, 4, cost).problem, tol=1e-7)
+        sol = solve(build_cost_sdp(g, 4, cost), tol=1e-7)
         assert abs(sol.primal_obj - cost.sum()) <= 1e-5 * (1 + abs(cost.sum()))
 
     def test_independent_cost_objective(self):

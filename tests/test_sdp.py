@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import lapack, null_space
 from scipy.optimize import linprog
 
 from conftest import complete_graph, path_graph
@@ -18,6 +18,8 @@ from sdpcolor.sdp import (
     OPTIMAL,
     ConstraintMap,
     SdpProblem,
+    _Factor,
+    _max_step,
     solve,
 )
 
@@ -44,7 +46,7 @@ def unreduced_cost_sdps(corpora):
                 cost = np.zeros((g.n, g.n))
                 if linked:
                     cost[0, 2] = cost[2, 0] = -1.0
-                yield build_cost_sdp(g, 4, cost).problem, cost
+                yield build_cost_sdp(g, 4, cost), cost
 
 
 class TestLpReduction:
@@ -74,7 +76,7 @@ def solved_batch():
         problem, *_ = diagonal_lp_instance(rng, dim, m)
         solutions.append((problem, solve(problem)))
     for k in (3, 4):
-        problem = build_svcn(complete_graph(k)).problem
+        problem = build_svcn(complete_graph(k))
         solutions.append((problem, solve(problem)))
     return solutions
 
@@ -108,7 +110,7 @@ class TestSolverProperties:
                 assert verdict, (product_norm, rank_x + rank_s)
 
     def test_deterministic(self):
-        problem = build_svcn(complete_graph(4)).problem
+        problem = build_svcn(complete_graph(4))
         a = solve(problem)
         b = solve(problem)
         assert a.iterations == b.iterations
@@ -178,14 +180,14 @@ class TestConstraintMap:
         g = corpora[10][179]
         cost = np.zeros((g.n, g.n))
         cost[0, 1] = cost[1, 0] = -1.0
-        cost_sdp = build_cost_sdp(g, 4, cost).problem
+        cost_sdp = build_cost_sdp(g, 4, cost)
         u = np.zeros((g.n, 0))
         for q in enumerate_cliques(g, 4):
             u = np.column_stack([u, np.isin(np.arange(1, g.n + 1), q)])
         face = SdpProblem(g.n, cost_sdp.objective, cost_sdp.constraints,
                           null_space(u.T))
         lp, *_ = diagonal_lp_instance(np.random.default_rng(5), 6, 4)
-        return [build_svcn(fig3).problem, cost_sdp, face, lp]
+        return [build_svcn(fig3), cost_sdp, face, lp]
 
     def test_operators_match_dense_definitions(self, fig3, corpora):
         rng = np.random.default_rng(11)
@@ -233,10 +235,10 @@ class TestVerifyFeasibleDual:
         # cost matrix for coloring (1,2,1) has a single -1 chain link at (1,3)
         cost = np.zeros((3, 3))
         cost[0, 2] = cost[2, 0] = -1.0
-        inst = build_cost_sdp(g, 2, cost)
-        assert inst.edge_order == ((1, 2), (2, 3))
+        problem = build_cost_sdp(g, 2, cost)
+        assert g.edge_list() == [(1, 2), (2, 3)]  # the edge constraints' order
         y = np.array([-1.0, 0.0, -2.0, -1.0, -1.0])  # z_12, z_23, y_1, y_2, y_3
-        s, psd, dual_obj = verify_feasible_dual(inst.problem, y)
+        s, psd, dual_obj = verify_feasible_dual(problem, y)
         expected = np.array([[2.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.array_equal(s, expected)
         assert psd
@@ -264,3 +266,68 @@ class TestSdpProblem:
             SdpProblem.build(2, np.eye(2), [])
         with pytest.raises(ValueError):
             SdpProblem.build(2, np.eye(2), [([(2, 2, 1.0)], 1.0)])
+
+
+def random_pd(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T + 0.1 * np.eye(dim)
+
+
+class TestKernels:
+    def test_max_step_matches_dense_reference(self):
+        rng = np.random.default_rng(17)
+        for dim in range(3, 13):
+            p = random_pd(rng, dim)
+            dp = symmetrize(rng.normal(size=(dim, dim)))
+            w, q = np.linalg.eigh(p)
+            inv_half = (q / np.sqrt(w)) @ q.T  # P^{-1/2}
+            lam = np.linalg.eigvalsh(symmetrize(inv_half @ dp @ inv_half))[0]
+            assert lam < 0
+            alpha = _max_step(p, dp)
+            assert abs(alpha - (-1.0 / lam)) <= 1e-10 * (-1.0 / lam), dim
+            # p + alpha dp sits on the PSD boundary
+            edge = np.linalg.eigvalsh(p + alpha * dp)
+            assert abs(edge[0]) <= 1e-9 * edge[-1], dim
+
+    def test_max_step_unbounded_along_psd_direction(self):
+        rng = np.random.default_rng(18)
+        for dim in (3, 7, 12):
+            p = random_pd(rng, dim)
+            a = rng.normal(size=(dim, dim - 1))
+            assert _max_step(p, a @ a.T) == np.inf
+            assert _max_step(p, np.zeros((dim, dim))) == np.inf
+
+    def test_max_step_falls_back_on_singular_p(self):
+        p = np.diag([2.0, 1.0, 0.0])
+        dp = -np.eye(3)
+        assert lapack.dsygv(dp, p, itype=1, jobz="N")[2] != 0  # Cholesky of p fails
+        # the fallback clips p's zero eigenvalue to 1e-14 * 2, so the step is that
+        assert _max_step(p, dp) == pytest.approx(2e-14, rel=1e-9)
+        assert _max_step(p, np.eye(3)) == np.inf
+
+    def test_factor_solves_spd_system_by_cholesky(self):
+        rng = np.random.default_rng(19)
+        for dim in (1, 5, 40):
+            mat = random_pd(rng, dim)
+            h = rng.normal(size=dim)
+            factor = _Factor(mat)
+            assert factor._cho is not None
+            ref = np.linalg.solve(mat, h)
+            assert np.max(np.abs(factor.solve(h) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_factor_solves_singular_psd_system_by_lu(self):
+        rng = np.random.default_rng(20)
+        for dim in (5, 40):
+            b = rng.normal(size=(dim, dim - 2))
+            mat = b @ b.T  # PSD of rank dim - 2
+            h = mat @ rng.normal(size=dim)  # consistent right-hand side
+            factor = _Factor(mat)
+            assert factor._cho is None
+            x = factor.solve(h)
+            assert np.max(np.abs(mat @ x - h)) <= 1e-8 * np.max(np.abs(h))
+            # x's null-space part is roundoff amplified by 1/jitter; on the
+            # range of mat it agrees with np.linalg.solve on the restricted,
+            # full-rank system
+            basis = np.linalg.qr(b)[0]
+            coords = np.linalg.solve(basis.T @ mat @ basis, basis.T @ h)
+            assert np.max(np.abs(basis.T @ x - coords)) <= 1e-6 * np.max(np.abs(coords))

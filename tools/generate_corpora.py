@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped maximal-planar corpora (plantri ascii, n = 5..10).
+"""Regenerate the maximal-planar corpora (plantri ascii): the shipped n = 5..10, or n = 11, 12.
 
 Enumerates every sphere triangulation on n vertices by breadth-first search
 over diagonal flips, starting from a stacked triangulation. Flip connectivity
@@ -9,10 +9,14 @@ sound. Faces are carried along explicitly, so no planarity code is needed to
 flip; networkx is used only for isomorphism rejection and a final planarity
 sanity check.
 
-Usage: python tools/generate_corpora.py [outdir]
+Usage: python tools/generate_corpora.py [outdir [n ...]]
 
-Expected class counts (triangulations of the sphere): 1, 2, 5, 14, 50, 233
-for n = 5..10. The run aborts if the enumeration disagrees.
+Without n it writes the shipped corpora, n = 5..10 (into the fixtures directory
+when no outdir is given). n = 11 and 12 are not shipped: name them after an outdir.
+They take about 30 s and 200 s.
+
+Expected class counts (triangulations of the sphere, OEIS A000109): 1, 2, 5, 14,
+50, 233, 1249, 7595 for n = 5..12. The run aborts if the enumeration disagrees.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sdpcolor.graphs import Graph, plantri_line  # noqa: E402
 
-EXPECTED = {5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
+EXPECTED = {5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
+SHIPPED = range(5, 11)
 
 
 def stacked_triangulation(n):
@@ -102,8 +107,13 @@ def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent / "src" / "sdpcolor" / "fixtures"
     )
+    sizes = [int(arg) for arg in sys.argv[2:]] or list(SHIPPED)
+    unknown = [n for n in sizes if n not in EXPECTED]
+    if unknown:
+        raise SystemExit(f"no expected count for n = {unknown}; choose from {sorted(EXPECTED)}")
     outdir.mkdir(parents=True, exist_ok=True)
-    for n, expected in EXPECTED.items():
+    for n in sizes:
+        expected = EXPECTED[n]
         reps = enumerate_triangulations(n)
         if len(reps) != expected:
             raise SystemExit(
