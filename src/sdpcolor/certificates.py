@@ -13,7 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .formulations import extract_coloring, reference_solution, solve_cost, solve_svcn
+from .formulations import (
+    clique_face,
+    extract_coloring,
+    reference_solution,
+    solve_cost,
+    solve_svcn,
+)
 from .graphs import (
     Coloring,
     Graph,
@@ -227,7 +233,7 @@ def certify_cost(g: Graph, c: Coloring) -> CertificateReport:
     lam = min_eigenvalue(assignment.S)
     rank = numerical_rank(assignment.S)
     objective_match = abs(primal_obj - assignment.dual_obj) <= OBJ_TOL
-    sol = solve_cost(g, k, cost)
+    sol = solve_cost(clique_face(g, k), cost)
     usable = sol.face.status in (OPTIMAL, INACCURATE)
     extracted = extract_coloring(sol.X, k) if usable else None
     checks = {

@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="run a four-coloring heuristic")
     p.add_argument("--algo", type=int, choices=(1, 2), required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--log", action="store_true", help="print the iteration trace")
+    p.add_argument("--log", action="store_true", help="print the heuristic's step log")
     p.add_argument("--certify", action="store_true",
                    help="re-certify the coloring through the dual construction")
     p.set_defaults(func=_cmd_color)

@@ -8,14 +8,14 @@ column 0 are excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .graphs import Coloring, Graph, enumerate_cliques, validate_coloring
 from .linalg import DEFAULT_RANK_TAU, numerical_rank, symmetrize
-from .sdp import ConstraintMap, SdpProblem, SdpSolution, solve
+from .sdp import FaceMap, SdpProblem, SdpSolution, solve
 
 DEFAULT_EXTRACT_TOL = 1e-4
 
@@ -49,7 +49,7 @@ def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpProblem:
     This is the paper's unreduced SDP (dim n, m = |E| + n). For every K_k Q
     with indicator vector u_Q it forces u_Q^T X u_Q = k - k = 0, so every
     feasible X lies in the clique face {X : X u_Q = 0} and none is positive
-    definite. solve_cost solves it restricted to that face.
+    definite. solve_cost solves it restricted to that face (clique_face).
     """
     if k < 2:
         raise ValueError("palette size must be at least 2")
@@ -139,6 +139,41 @@ def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
 
 
 @dataclass(frozen=True)
+class CliqueFace:
+    """The face X = V W V^T that holds every feasible X of a graph's cost SDP.
+
+    cliques is the K_k cover that defines it and ops the cost SDP's
+    constraints restricted to it: the basis V, the constraints that stay
+    independent there and their dense operator with its Gram factor. None of
+    it depends on the cost, so one CliqueFace serves every cost solve on
+    (graph, k).
+    """
+
+    graph: Graph
+    k: int
+    cliques: list
+    ops: FaceMap
+
+
+def clique_face(g: Graph, k: int) -> CliqueFace:
+    """Build the clique face of g's cost SDP for palette size k.
+
+    Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
+    for every feasible X: the unreduced SDP has no interior, and interior-point
+    steps toward it stall. V is an orthonormal basis of the complement of the
+    u_Q (the identity when g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T
+    (i in Q), a constraint combination of b-weight 0, vanishes; FaceMap drops
+    the constraints this makes dependent, which the zero b-weight makes sound.
+    """
+    problem = build_cost_sdp(g, k, np.zeros((g.n, g.n)))
+    cliques = enumerate_cliques(g, k)
+    u = np.zeros((g.n, len(cliques)))
+    for col, q in enumerate(cliques):
+        u[[v - 1 for v in q], col] = 1.0
+    return CliqueFace(g, k, cliques, FaceMap(sla.null_space(u.T), problem.constraints))
+
+
+@dataclass(frozen=True)
 class CostSolution:
     """A cost SDP solve on the clique face X = V W V^T.
 
@@ -151,33 +186,16 @@ class CostSolution:
     face: SdpSolution
 
 
-def solve_cost(g: Graph, k: int, cost: np.ndarray) -> CostSolution:
-    """Solve the cost SDP on its clique face X = V W V^T; lift X.
+def solve_cost(face: CliqueFace, cost: np.ndarray) -> CostSolution:
+    """Solve the cost SDP with this cost on its clique face; lift X.
 
-    Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
-    for every feasible X: the unreduced SDP has no interior, and interior-point
-    steps toward it stall. V is an orthonormal basis of the complement of the
-    u_Q (the identity when g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T
-    (i in Q), a constraint combination of b-weight 0, vanishes; pivoted QR of
-    the face's Gram matrix drops the constraints this makes dependent, since
-    the solver needs independent rows.
-
-    The face solve runs at sdp.DEFAULT_TOL. Its S_W stays in face coordinates:
-    V S_W V^T need not be an unreduced dual slack, since that dual can recede
-    along u_Q u_Q^T, a constraint combination of b-weight 0, without changing
-    its objective, so its optimum need not be attained.
+    Only the cost is new per solve: the solver projects it to V^T C V and
+    reuses the face's operator and Gram factor. The face solve runs at
+    sdp.DEFAULT_TOL. Its S_W stays in face coordinates: V S_W V^T need not be
+    an unreduced dual slack, since that dual can recede along u_Q u_Q^T, a
+    constraint combination of b-weight 0, without changing its objective, so
+    its optimum need not be attained.
     """
-    problem = build_cost_sdp(g, k, cost)
-    cliques = enumerate_cliques(g, k)
-    u = np.zeros((g.n, len(cliques)))
-    for col, q in enumerate(cliques):
-        u[[v - 1 for v in q], col] = 1.0
-    v = sla.null_space(u.T)
-    face = SdpProblem(g.n, problem.objective, problem.constraints, v)
-    eye = np.eye(v.shape[1])
-    _, r, piv = sla.qr(ConstraintMap(face).schur(eye, eye), pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = np.sort(piv[diag > 1e-9 * diag[0]])
-    face = replace(face, constraints=tuple(problem.constraints[i] for i in keep))
-    sol = solve(face)
-    return CostSolution(symmetrize(v @ sol.X @ v.T), sol)
+    ops = face.ops
+    sol = solve(SdpProblem(face.graph.n, np.asarray(cost, dtype=float), ops.constraints, ops))
+    return CostSolution(symmetrize(ops.basis @ sol.X @ ops.basis.T), sol)

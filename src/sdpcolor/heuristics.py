@@ -12,9 +12,10 @@ cyclic pass finds nothing admissible (every failed attempt is undone, so an
 unsuccessful full pass proves the state can never change again).
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
-clique face (formulations.solve_cost). Its iterate is used when it polishes
-to an exact optimum or when the solve ends optimal or inaccurate; any other
-status ends the run as solver-error.
+clique face (formulations.solve_cost). A run builds that face once and every
+solve of the run reuses it; only the cost changes between solves. A solve's
+iterate is used when it polishes to an exact optimum or when the solve ends
+optimal or inaccurate; any other status ends the run as solver-error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateReport, certify_cost
-from .formulations import extract_coloring, reference_solution, solve_cost
+from .formulations import (
+    CliqueFace,
+    clique_face,
+    extract_coloring,
+    reference_solution,
+    solve_cost,
+)
 from .graphs import Coloring, Graph, find_clique, validate_coloring
 from .linalg import numerical_rank
 from .sdp import INACCURATE, OPTIMAL
@@ -93,10 +100,11 @@ def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray, obj: float):
     return x_ref
 
 
-def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE):
-    """Solve the cost SDP for g; returns (X, rank_primal).
+def solve_modified(face: CliqueFace, cost: np.ndarray):
+    """Solve the cost SDP on the clique face of a graph; returns (X, rank_primal).
 
-    X comes lifted from the clique face (formulations.solve_cost). It is the
+    The face (formulations.clique_face) fixes the graph and the palette size;
+    X comes lifted from it (formulations.solve_cost). It is the
     polished optimum when the lifted iterate snaps to one (see _polish), else
     that iterate, whose solve must then be optimal or inaccurate: an
     inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with a small
@@ -105,8 +113,8 @@ def solve_modified(g: Graph, cost: np.ndarray, k: int = PALETTE):
     it. Any other status raises SolverError. The rank is counted at
     linalg.DEFAULT_RANK_TAU.
     """
-    sol = solve_cost(g, k, cost)
-    x = _polish(g, k, cost, sol.X, sol.face.primal_obj)
+    sol = solve_cost(face, cost)
+    x = _polish(face.graph, face.k, cost, sol.X, sol.face.primal_obj)
     if x is None:
         if sol.face.status not in (OPTIMAL, INACCURATE):
             raise SolverError(f"cost SDP ended with status {sol.face.status}")
@@ -135,6 +143,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     if clique is None:
         raise ValueError("graph has no K_4; the heuristics require one")
     anchors = list(clique)
+    face = clique_face(g, PALETTE)
     n = g.n
     budget = 4 * n * n if max_solves is None else max_solves
     cost = np.zeros((n, n))
@@ -181,7 +190,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
         solves += 1
         if solves > budget:
             raise _BudgetExceeded()
-        return solve_modified(g, cost)
+        return solve_modified(face, cost)
 
     try:
         x, rank_p = run_solver()

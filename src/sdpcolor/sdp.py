@@ -1,12 +1,22 @@
-"""Standard-form SDP solver over entry constraints.
+"""Standard-form SDP solver over entry constraints, or over a face.
 
 Primal:  min C . X   s.t.  A_i . X = b_i,  X PSD
 Dual:    max b^T y   s.t.  S = C - sum_i y_i A_i,  S PSD
 
-Each A_i is stored as its few nonzero entries and reached only through
-ConstraintMap: A(X) is a gather, A*(y) a scatter and the Schur matrix a sum
-over entry pairs. An optional face basis V restricts the variable to
-X = V W V^T; the solver then works in W.
+Each A_i is stored as its few nonzero entries. The solver reaches the
+constraints only through an operator: b, A(W), A*(y), the Schur matrix and
+the Gram factor that restores A(dW) = r. Which operator a problem gets
+follows from the problem itself:
+
+- without a face, ConstraintMap works on the entries: A(X) is a gather, A*(y)
+  a scatter and the Schur matrix a sum over entry pairs, so no constraint is
+  a dense matrix (at n = 100 a dense operator would be 494 x 10,201);
+- with a face (FaceMap, basis V of d columns), the variable is restricted to
+  X = V W V^T and the solver works in W. There every V^T A_i V is a dense
+  d x d matrix, so FaceMap holds them as the rows of one m x d^2 operator and
+  A(W), A*(y) and the Schur matrix are matrix products. A FaceMap holds no
+  objective: it is built once and serves every problem on the same face and
+  constraints, which then only projects its objective, V^T C V.
 
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
@@ -22,8 +32,8 @@ assumes independent constraints and a feasible set with an interior: when the
 interior is empty, steps shrink toward the boundary and the solve can stall
 until the iteration cap; it then returns its best-merit iterate, which is
 inaccurate only when within the bounds below and max-iterations otherwise.
-Give such a problem the basis of the face that holds its feasible set, as
-formulations.solve_cost does for the cost SDP.
+Give such a problem the FaceMap of the face that holds its feasible set, as
+formulations.clique_face does for the cost SDP.
 
 One pass decides the status. Relative primal and dual residuals and the
 relative duality gap are measured at every iterate; an iterate passes a
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import lapack, qr
 
 from .linalg import require_symmetric, symmetrize
 
@@ -60,6 +70,7 @@ _WINDOW = 5  # iterates compared once a tolerance is first met
 _RELAXED = 10.0  # inaccurate: residuals within _RELAXED * tol ...
 _RELAXED_GAP = 1000.0  # ... and duality gap within _RELAXED_GAP * tol
 _REFINE_STEPS = 2
+_EPS = np.finfo(float).eps
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 
 
@@ -69,14 +80,14 @@ class SdpProblem:
 
     The entries of a constraint are its distinct nonzero upper-triangle cells
     (r, c, value), r <= c, each setting A_i[r, c] = A_i[c, r] = value. The
-    optional basis V (dim x r, orthonormal columns) restricts the variable to
-    X = V W V^T.
+    optional face (a FaceMap of these constraints, basis V of dim rows and
+    orthonormal columns) restricts the variable to X = V W V^T.
     """
 
     dim: int
     objective: np.ndarray
     constraints: tuple
-    basis: np.ndarray | None = None
+    face: FaceMap | None = None
 
     def __post_init__(self):
         require_symmetric(self.objective)
@@ -89,6 +100,10 @@ class SdpProblem:
                 raise ValueError("constraint without entries")
             if any(not 0 <= r <= c < self.dim for r, c, _ in entries):
                 raise ValueError("constraint entry outside the upper triangle")
+        face = self.face
+        if face is not None and (face.basis.shape[0] != self.dim
+                                 or face.b.size != len(self.constraints)):
+            raise ValueError("face does not match the problem's dimension and constraints")
 
     @classmethod
     def build(cls, dim, objective, constraints) -> "SdpProblem":
@@ -101,54 +116,116 @@ class SdpProblem:
         return len(self.constraints)
 
 
-class ConstraintMap:
-    """A problem in face coordinates W: b, C, A(W), A*(y) and the Schur matrix.
+def _flat_entries(constraints) -> tuple:
+    """(row, p, q, coef) arrays: entry s sets A_{row_s}[p_s, q_s] = coef_s, both
+    triangles listed."""
+    cells = [(i, r, c, v) for i, (entries, _) in enumerate(constraints) for r, c, v in entries]
+    cells += [(i, c, r, v) for i, r, c, v in cells if r != c]
+    return tuple(np.array(col) for col in zip(*cells))
+
+
+class _Operator:
+    """What the solver asks of the constraints, in the variable's coordinates.
+
+    Subclasses give b, order (the variable's order), gather (A(W)), scatter
+    (A*(y)), schur (M_ij = tr(A_i W A_j T)) and gram, the factor of the
+    constant Gram matrix tr(A_i A_j). They factor it when they are built,
+    before the solver's loop allocates its per-iteration arrays.
+    """
+
+    def restore(self, dw: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """dw moved onto A(dw) = r by the least-norm correction A*(lambda).
+
+        This is what keeps primal feasibility from eroding once the Schur
+        complement turns ill-conditioned near the optimum.
+        """
+        lam = self.gram.solve(r - self.gather(dw))
+        return symmetrize(dw + self.scatter(lam))
+
+
+class ConstraintMap(_Operator):
+    """A problem without a face, reached through its entries.
 
     The entries are flattened with both triangles listed, so entry s sets
     A_{i_s}[p_s, q_s] = c_s; the sparse matrix G (m x entries) holds c_s in
-    row i_s for the Schur matrix. With a basis V, W lifts to X = V W V^T
-    before a gather, and a scatter lands in V^T Z V.
+    row i_s for the Schur matrix.
     """
 
     def __init__(self, problem: SdpProblem):
-        cells = [(i, r, c, v) for i, (entries, _) in enumerate(problem.constraints)
-                 for r, c, v in entries]
-        cells += [(i, c, r, v) for i, r, c, v in cells if r != c]
-        self.row, self.p, self.q, self.coef = (np.array(col) for col in zip(*cells))
+        self.row, self.p, self.q, self.coef = _flat_entries(problem.constraints)
         self.g = sparse.csr_matrix((self.coef, (self.row, np.arange(self.row.size))),
                                    shape=(problem.m, self.row.size))
         self.b = np.array([bi for _, bi in problem.constraints])
-        self.dim = problem.dim
-        self.basis = v = problem.basis
-        c = problem.objective
-        self.objective = c if v is None else symmetrize(v.T @ c @ v)
+        self.order = problem.dim
+        eye = np.eye(self.order)
+        self.gram = _Factor(self.schur(eye, eye))
 
-    def lift(self, w: np.ndarray) -> np.ndarray:
-        v = self.basis
-        return w if v is None else v @ w @ v.T
-
-    def gather(self, w: np.ndarray) -> np.ndarray:
-        """A(W)_i = sum over entries s of constraint i of c_s X[p_s, q_s]."""
-        x = self.lift(w)
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """A(X)_i = sum over entries s of constraint i of c_s X[p_s, q_s]."""
         return np.bincount(self.row, self.coef * x[self.p, self.q], self.b.size)
 
     def scatter(self, y: np.ndarray) -> np.ndarray:
         """A*(y) = sum_i y_i A_i: entry s adds c_s y_{i_s} at [p_s, q_s]."""
-        n = self.dim
-        z = np.bincount(self.p * n + self.q, self.coef * y[self.row], n * n).reshape(n, n)
-        v = self.basis
-        return z if v is None else symmetrize(v.T @ z @ v)
+        n = self.order
+        return np.bincount(self.p * n + self.q, self.coef * y[self.row], n * n).reshape(n, n)
 
-    def schur(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """M_ij = tr(A_i X A_j T), X and T lifted from w and t, T symmetric.
+    def schur(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """M_ij = tr(A_i X A_j T), T symmetric.
 
         Entries s of A_i and t of A_j contribute c_s c_t X[q_s, p_t] T[p_s, q_t].
-        At w = t = I this is the Gram matrix tr(A_i V V^T A_j V V^T).
         """
-        x, t = self.lift(w), self.lift(t)
         k = x[:, self.p][self.q]
         k *= t[:, self.q][self.p]
         return (self.g @ (self.g @ k).T).T
+
+
+class FaceMap(_Operator):
+    """Constraints restricted to the face X = V W V^T, as a dense operator on W.
+
+    On the face, constraints can turn dependent (a combination of the A_i can
+    vanish there), and the solver needs independent rows. FaceMap keeps the
+    ones that pivoted QR of their Gram matrix finds independent, in their
+    original order, as constraints. Dropping a constraint is sound only when
+    b obeys the same dependence; the caller vouches for that.
+
+    Row i of rows is vec(V^T A_i V), of length d^2 for V's d columns (V has
+    orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
+    matrix, and the Schur matrix tr(A_i W A_j T) is the product of the stacked
+    A_i W with the stacked T A_j. The Gram factor is computed once, so every
+    problem on this face shares it.
+    """
+
+    def __init__(self, basis: np.ndarray, constraints: tuple):
+        n, d = basis.shape
+        row, p, q, coef = _flat_entries(constraints)
+        a = np.zeros((len(constraints), n, n))
+        np.add.at(a, (row, p, q), coef)
+        a = basis.T @ a @ basis
+        rows = ((a + a.transpose(0, 2, 1)) / 2.0).reshape(-1, d * d)  # exactly symmetric
+        _, r, piv = qr(rows @ rows.T, pivoting=True)
+        diag = np.abs(np.diag(r))
+        kept = np.sort(piv[diag > 1e-9 * diag[0]])
+        self.constraints = tuple(constraints[i] for i in kept)
+        self.basis = basis
+        self.order = d
+        self.rows = rows[kept]
+        self.mats = self.rows.reshape(-1, d, d)
+        self.b = np.array([bi for _, bi in self.constraints])
+        self.gram = _Factor(self.rows @ self.rows.T)
+
+    def gather(self, w: np.ndarray) -> np.ndarray:
+        """A(W)_i = vec(V^T A_i V) . vec(W)."""
+        return self.rows @ w.ravel()
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = sum_i y_i V^T A_i V."""
+        d = self.order
+        return (y @ self.rows).reshape(d, d)
+
+    def schur(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """M_ij = tr(A_i W A_j T) = (A_i W) . (T A_j), all matrices symmetric."""
+        m = self.b.size
+        return (self.mats @ w).reshape(m, -1) @ (t @ self.mats).reshape(m, -1).T
 
 
 @dataclass(frozen=True)
@@ -212,13 +289,17 @@ class _Factor:
     """Factor a symmetric positive definite system once; solve with refinement.
 
     LAPACK's dpotrf/dpotrs, called directly; when dpotrf reports a leading
-    minor that is not positive definite, a jittered LU (dgetrf/dgetrs). Two
-    steps of iterative refinement recover most of the accuracy lost to the
-    Schur complement's growing condition number near convergence.
+    minor that is not positive definite, a jittered LU (dgetrf/dgetrs). Up to
+    two steps of iterative refinement recover most of the accuracy lost to the
+    Schur complement's growing condition number near convergence; refinement
+    stops once the residual h - M x is at roundoff level, eps (||M|| ||x|| +
+    ||h||) in the max norm with ||M|| the max row sum, where a further step
+    only adds noise.
     """
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
+        self._norm = np.abs(mat).sum(axis=1).max()
         self._cho, info = lapack.dpotrf(mat, lower=1, clean=0)
         if info != 0:
             self._cho = None
@@ -232,10 +313,13 @@ class _Factor:
 
     def solve(self, h: np.ndarray) -> np.ndarray:
         x = self._apply(h)
+        h_max = np.abs(h).max()
         for _ in range(_REFINE_STEPS):
-            if not np.all(np.isfinite(x)):
+            r = h - self.mat @ x
+            # written so that a NaN residual also stops refining
+            if not np.abs(r).max() > _EPS * (self._norm * np.abs(x).max() + h_max):
                 break
-            x = x + self._apply(h - self.mat @ x)
+            x = x + self._apply(r)
         return x
 
 
@@ -274,24 +358,24 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     The status is optimal, inaccurate, max-iterations or numerical-failure,
     chosen by the rules in the module docstring. Every status comes with the
-    returned iterate's residuals. With a face basis V, X and S are those of W,
-    of order V's column count, and the caller lifts what it needs.
+    returned iterate's residuals. On a face X = V W V^T, X and S are those of
+    W, of order V's column count, and the caller lifts what it needs.
     """
-    ops = ConstraintMap(problem)
+    if problem.face is None:
+        ops = ConstraintMap(problem)
+        c = problem.objective
+    else:
+        ops = problem.face
+        v = ops.basis
+        c = symmetrize(v.T @ problem.objective @ v)
     b = ops.b
-    c = ops.objective
-    ell = c.shape[0]
+    ell = ops.order
     res_scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(c)))
 
     eye = np.eye(ell)
     x = res_scale * eye
     s = res_scale * eye
     y = np.zeros(problem.m)
-
-    # Constant Gram matrix of the constraints, used to lift each dX back onto
-    # A(dX) = rp exactly; this is what keeps primal feasibility from eroding
-    # once the Schur complement turns ill-conditioned near the optimum.
-    gram = _Factor(ops.schur(eye, eye))
 
     best = None
     best_merit = np.inf
@@ -345,9 +429,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
             dy = schur.solve(rp - ops.gather(g))
             ds = symmetrize(rd - ops.scatter(dy))
             dx = symmetrize((rc - x @ ds) @ s_inv)
-            lam = gram.solve(rp - ops.gather(dx))
-            dx = symmetrize(dx + ops.scatter(lam))
-            return dx, dy, ds
+            return ops.restore(dx, rp), dy, ds
 
         if center_next:
             # pure centering step to recover step length after a near-stall

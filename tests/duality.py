@@ -32,7 +32,7 @@ def verify_feasible_dual(problem, y):
     if y.shape != (problem.m,):
         raise ValueError(f"expected {problem.m} dual values, got {y.shape}")
     ops = ConstraintMap(problem)
-    s = symmetrize(ops.objective - ops.scatter(y))
+    s = symmetrize(problem.objective - ops.scatter(y))
     lam = min_eigenvalue(s)
     slack = 1e-9 * (1.0 + abs(lam) + float(np.max(np.abs(s))))
     return s, lam >= -slack, float(ops.b @ y)

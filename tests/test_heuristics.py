@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import complete_graph, path_graph
+from sdpcolor.formulations import clique_face
 from sdpcolor.graphs import enumerate_cliques, validate_coloring
 from sdpcolor.heuristics import (
     COLORED,
@@ -19,12 +21,12 @@ from sdpcolor.heuristics import (
 
 class TestSolveModified:
     def test_k4_zero_cost_rank_three(self):
-        x, rank_p = solve_modified(complete_graph(4), np.zeros((4, 4)))
+        x, rank_p = solve_modified(clique_face(complete_graph(4), 4), np.zeros((4, 4)))
         assert rank_p == 3
         assert np.allclose(np.diag(x), 1.0, atol=1e-6)
 
     def test_fig3_zero_cost_high_rank(self, fig3):
-        _, rank_p = solve_modified(fig3, np.zeros((12, 12)))
+        _, rank_p = solve_modified(clique_face(fig3, 4), np.zeros((12, 12)))
         assert rank_p > 3
 
     def test_best_iterate_rule_accepts_stalled_solve(self, corpora):
@@ -45,14 +47,26 @@ class TestSolveModified:
         cost = np.zeros((g.n, g.n))
         for i, j in ((1, 2), (4, 7)):
             cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
-        x, _ = solve_modified(g, cost)
+        face = clique_face(g, 4)
+        x, _ = solve_modified(face, cost)
         assert abs(np.sum(cost * x) + 2.8462808) <= 1e-6
         cliques = enumerate_cliques(g, 4)
-        assert len(cliques) == 2
+        assert len(cliques) == 2 and face.cliques == cliques
         for q in cliques:
             u = np.zeros(g.n)
             u[[v - 1 for v in q]] = 1.0
             assert np.allclose(x @ u, 0.0, atol=1e-7)
+
+
+class TestCliqueFace:
+    def test_run_builds_its_face_once(self, corpora, monkeypatch):
+        # heuristic 2 solves three times on this graph; only the cost changes
+        calls = []
+        null_space = sla.null_space
+        monkeypatch.setattr(sla, "null_space", lambda a: calls.append(a) or null_space(a))
+        out = heuristic2(corpora[10][179])
+        assert out.solve_count > 1
+        assert len(calls) == 1
 
 
 class TestHeuristicRuns:

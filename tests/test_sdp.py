@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack, null_space
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from conftest import complete_graph, path_graph
 from duality import check_complementarity, verify_feasible_dual
 from sdpcolor.certificates import ktree_dual
-from sdpcolor.formulations import build_cost_sdp, build_svcn, reference_solution
-from sdpcolor.graphs import Coloring, enumerate_cliques, find_clique, is_ktree
+from sdpcolor.formulations import (
+    build_cost_sdp,
+    build_svcn,
+    clique_face,
+    reference_solution,
+    solve_cost,
+)
+from sdpcolor.graphs import Coloring, find_clique, is_ktree
 from sdpcolor.linalg import min_eigenvalue, symmetrize
 from sdpcolor.sdp import (
     DEFAULT_TOL,
@@ -164,14 +170,14 @@ class TestSolverProperties:
 
 
 def dense_constraints(problem):
-    """Each A_i as a dense matrix, taken to face coordinates V^T A_i V."""
+    """Each A_i as a dense matrix, taken to face coordinates V^T A_i V on a face."""
     mats = []
     for entries, _ in problem.constraints:
         a = np.zeros((problem.dim, problem.dim))
         for r, c, value in entries:
             a[r, c] = a[c, r] = value
-        v = problem.basis
-        mats.append(a if v is None else v.T @ a @ v)
+        face = problem.face
+        mats.append(a if face is None else face.basis.T @ a @ face.basis)
     return mats
 
 
@@ -180,14 +186,10 @@ class TestConstraintMap:
         g = corpora[10][179]
         cost = np.zeros((g.n, g.n))
         cost[0, 1] = cost[1, 0] = -1.0
-        cost_sdp = build_cost_sdp(g, 4, cost)
-        u = np.zeros((g.n, 0))
-        for q in enumerate_cliques(g, 4):
-            u = np.column_stack([u, np.isin(np.arange(1, g.n + 1), q)])
-        face = SdpProblem(g.n, cost_sdp.objective, cost_sdp.constraints,
-                          null_space(u.T))
+        face = clique_face(g, 4)
         lp, *_ = diagonal_lp_instance(np.random.default_rng(5), 6, 4)
-        return [build_svcn(fig3), cost_sdp, face, lp]
+        return [build_svcn(fig3), build_cost_sdp(g, 4, cost),
+                SdpProblem(g.n, cost, face.ops.constraints, face.ops), lp]
 
     def test_operators_match_dense_definitions(self, fig3, corpora):
         rng = np.random.default_rng(11)
@@ -196,7 +198,7 @@ class TestConstraintMap:
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
         for problem in self.instances(fig3, corpora):
-            ops = ConstraintMap(problem)
+            ops = ConstraintMap(problem) if problem.face is None else problem.face
             mats = dense_constraints(problem)
             order = mats[0].shape[0]
             x, t = (symmetrize(rng.normal(size=(order, order))) for _ in range(2))
@@ -208,6 +210,21 @@ class TestConstraintMap:
             eye = np.eye(order)
             close(ops.schur(eye, eye),
                   np.array([[np.sum(ai * aj) for aj in mats] for ai in mats]))
+            # the feasibility restore lands on A(dx) = rp
+            rp = rng.normal(size=problem.m)
+            close(ops.gather(ops.restore(x, rp)), rp)
+
+    def test_reused_face_solves_like_a_fresh_one(self, corpora):
+        g = corpora[10][179]
+        first, second = np.zeros((g.n, g.n)), np.zeros((g.n, g.n))
+        first[0, 1] = first[1, 0] = -1.0
+        second[3, 6] = second[6, 3] = -1.0
+        face = clique_face(g, 4)
+        solve_cost(face, first)
+        reused = solve_cost(face, second)
+        fresh = solve_cost(clique_face(g, 4), second)
+        assert reused.face.status == fresh.face.status == OPTIMAL
+        assert np.array_equal(reused.X, fresh.X)
 
 
 class TestCheckComplementarity:
