@@ -67,7 +67,7 @@ def _cmd_svcn(args) -> int:
     print(
         f"objective={summary.objective:.6f} primal_rank={summary.rank_primal}"
         f" dual_rank={summary.rank_dual} status={sol.status}"
-        f" iterations={sol.iterations}"
+        f" iterations={sol.iterations} lu_steps={sol.lu_steps}"
     )
     return 0 if sol.optimal else 1
 

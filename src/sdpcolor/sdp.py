@@ -8,9 +8,12 @@ constraints only through an operator: b, A(W), A*(y), the Schur matrix and
 the Gram factor that restores A(dW) = r. Which operator a problem gets
 follows from the problem itself:
 
-- without a face, ConstraintMap works on the entries: A(X) is a gather, A*(y)
-  a scatter and the Schur matrix a sum over entry pairs, so no constraint is
-  a dense matrix (at n = 100 a dense operator would be 494 x 10,201);
+- without a face, ConstraintMap works on the entries: A(X) is a gather and
+  A*(y) a scatter over them, so no constraint is a dense matrix (at n = 100 a
+  dense operator would be 494 x 10,201). The Schur matrix is G K G^T over the
+  distinct cells the entries touch (889 for those 1,182 entries), with the
+  cell-pair products K gathered and reduced through G in row blocks, so no
+  cells x cells array is built;
 - with a face (FaceMap, basis V of d columns), the variable is restricted to
   X = V W V^T and the solver works in W. There every V^T A_i V is a dense
   d x d matrix, so FaceMap holds them as the rows of one m x d^2 operator and
@@ -24,16 +27,17 @@ the dense m x m Schur complement each iteration. The per-iteration kernels are
 direct LAPACK calls. The Schur matrix is factored by dpotrf and solved by
 dpotrs; when dpotrf finds a leading minor that is not positive definite (the
 matrix turns numerically singular near some optima), a jittered LU
-(dgetrf/dgetrs) takes over for that iteration. A step length to the PSD
-boundary is -1/lambda_min of the pencil (dP, P), P = X or S, from one dsygv
-call (Cholesky of P, reduction, eigenvalues); when P's Cholesky fails, an eigh
-of P gives the eigenvalues instead. It is deterministic. It
-assumes independent constraints and a feasible set with an interior: when the
-interior is empty, steps shrink toward the boundary and the solve can stall
-until the iteration cap; it then returns its best-merit iterate, which is
-inaccurate only when within the bounds below and max-iterations otherwise.
-Give such a problem the FaceMap of the face that holds its feasible set, as
-formulations.clique_face does for the cost SDP.
+(dgetrf/dgetrs) takes over for that iteration, and the solution counts it in
+lu_steps. A step length to the PSD boundary is -1/lambda_min of the pencil
+(dP, P), P = X or S, from one dsygv call (Cholesky of P, reduction,
+eigenvalues); when P's Cholesky fails, an eigh of P gives the eigenvalues
+instead. It is deterministic. It assumes independent constraints and a
+feasible set with an interior: when the interior is empty, steps shrink
+toward the boundary and the solve can stall until the iteration cap; it then
+returns its best-merit iterate, which is inaccurate only when within the
+bounds below and max-iterations otherwise. Give such a problem the FaceMap of
+the face that holds its feasible set, as formulations.clique_face does for
+the cost SDP.
 
 One pass decides the status. Relative primal and dual residuals and the
 relative duality gap are measured at every iterate; an iterate passes a
@@ -72,6 +76,7 @@ _RELAXED_GAP = 1000.0  # ... and duality gap within _RELAXED_GAP * tol
 _REFINE_STEPS = 2
 _EPS = np.finfo(float).eps
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
+_SCHUR_BLOCK = 128  # rows of K gathered at a time by ConstraintMap.schur
 
 
 @dataclass(frozen=True)
@@ -147,17 +152,21 @@ class ConstraintMap(_Operator):
     """A problem without a face, reached through its entries.
 
     The entries are flattened with both triangles listed, so entry s sets
-    A_{i_s}[p_s, q_s] = c_s; the sparse matrix G (m x entries) holds c_s in
-    row i_s for the Schur matrix.
+    A_{i_s}[p_s, q_s] = c_s; gather and scatter work on them. The Schur matrix
+    works on the distinct cells (p_u, q_u) that the entries touch: the sparse
+    matrix G (m x cells) holds A_i[p_u, q_u] in row i, so a cell that many
+    constraints share (the SVCN's corner cell) is one column, not many.
     """
 
     def __init__(self, problem: SdpProblem):
         self.row, self.p, self.q, self.coef = _flat_entries(problem.constraints)
-        self.g = sparse.csr_matrix((self.coef, (self.row, np.arange(self.row.size))),
-                                   shape=(problem.m, self.row.size))
+        n = problem.dim
+        cells, col = np.unique(self.p * n + self.q, return_inverse=True)
+        self.cell_p, self.cell_q = np.divmod(cells, n)
+        self.g = sparse.csr_matrix((self.coef, (self.row, col)), shape=(problem.m, cells.size))
         self.b = np.array([bi for _, bi in problem.constraints])
-        self.order = problem.dim
-        eye = np.eye(self.order)
+        self.order = n
+        eye = np.eye(n)
         self.gram = _Factor(self.schur(eye, eye))
 
     def gather(self, x: np.ndarray) -> np.ndarray:
@@ -170,13 +179,24 @@ class ConstraintMap(_Operator):
         return np.bincount(self.p * n + self.q, self.coef * y[self.row], n * n).reshape(n, n)
 
     def schur(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """M_ij = tr(A_i X A_j T), T symmetric.
+        """M_ij = tr(A_i X A_j T), X and T symmetric.
 
-        Entries s of A_i and t of A_j contribute c_s c_t X[q_s, p_t] T[p_s, q_t].
+        Cell v of A_i and cell u of A_j contribute G_iv G_ju K[v, u] with
+        K[v, u] = X[p_v, q_u] T[q_v, p_u] (both triangles are listed), so
+        M = G K G^T. K is gathered _SCHUR_BLOCK rows at a time, and each block
+        is reduced through G into its rows of the cells x m array K G^T; no
+        cells x cells array is built.
         """
-        k = x[:, self.p][self.q]
-        k *= t[:, self.q][self.p]
-        return (self.g @ (self.g @ k).T).T
+        p, q = self.cell_p, self.cell_q
+        xq = x[:, q]
+        tp = t[:, p]
+        kg = np.empty((p.size, self.b.size))
+        for lo in range(0, p.size, _SCHUR_BLOCK):
+            block = slice(lo, lo + _SCHUR_BLOCK)
+            k = np.take(xq, p[block], axis=0)
+            k *= np.take(tp, q[block], axis=0)
+            kg[block] = (self.g @ k.T).T
+        return self.g @ kg
 
 
 class FaceMap(_Operator):
@@ -229,22 +249,19 @@ class FaceMap(_Operator):
 
 
 @dataclass(frozen=True)
-class SdpResiduals:
-    primal_inf: float  # ||A(X) - b||_inf
-    dual_inf: float  # ||S - C + sum y_i A_i||_max
-    duality_gap: float  # |C.X - b^T y|
-
-
-@dataclass(frozen=True)
 class SdpSolution:
+    """The returned iterate, its objectives and status, and the loop's counts:
+    iterations run, and lu_steps, how many of them factored the Schur matrix
+    by the jittered LU because dpotrf failed."""
+
     X: np.ndarray
     y: np.ndarray
     S: np.ndarray
     primal_obj: float
     dual_obj: float
-    residuals: SdpResiduals
     status: str
     iterations: int
+    lu_steps: int
 
     @property
     def optimal(self) -> bool:
@@ -357,9 +374,9 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the SDP in one pass of at most DEFAULT_MAX_ITER iterations.
 
     The status is optimal, inaccurate, max-iterations or numerical-failure,
-    chosen by the rules in the module docstring. Every status comes with the
-    returned iterate's residuals. On a face X = V W V^T, X and S are those of
-    W, of order V's column count, and the caller lifts what it needs.
+    chosen by the rules in the module docstring. On a face X = V W V^T, X and
+    S are those of W, of order V's column count, and the caller lifts what it
+    needs.
     """
     if problem.face is None:
         ops = ConstraintMap(problem)
@@ -381,6 +398,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     best_merit = np.inf
     status = MAX_ITERATIONS
     iterations = 0
+    lu_steps = 0
     small_steps = 0
     diverging = 0
     gamma = _GAMMA_FLOOR
@@ -420,6 +438,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
             status = NUMERICAL_FAILURE
             break
         schur = _Factor(symmetrize(ops.schur(x, symmetrize(s_inv))))
+        lu_steps += schur._cho is None
 
         xs = x @ s
         mu = _inner(x, s) / ell
@@ -474,13 +493,8 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     elif best is not None:
         x, y, s = best
 
-    rp, rd, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
+    _, _, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
     if (status != OPTIMAL and max(rel_p, rel_d) <= _RELAXED * tol
             and rel_gap <= _RELAXED_GAP * tol):
         status = INACCURATE
-    residuals = SdpResiduals(
-        primal_inf=float(np.max(np.abs(rp))),
-        dual_inf=float(np.max(np.abs(rd))),
-        duality_gap=abs(pobj - dobj),
-    )
-    return SdpSolution(x, y, s, pobj, dobj, residuals, status, iterations)
+    return SdpSolution(x, y, s, pobj, dobj, status, iterations, lu_steps)

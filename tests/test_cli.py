@@ -16,6 +16,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "objective=-0.333333" in out
+        assert " lu_steps=0" in out
 
     def test_color_failure_exit_one(self, capsys):
         code = cli_main(["color", "--algo", "1", "--graph", fixture_path("fig3.edges")])
