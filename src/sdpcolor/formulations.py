@@ -138,24 +138,7 @@ def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
     )
 
 
-@dataclass(frozen=True)
-class CliqueFace:
-    """The face X = V W V^T that holds every feasible X of a graph's cost SDP.
-
-    cliques is the K_k cover that defines it and ops the cost SDP's
-    constraints restricted to it: the basis V, the constraints that stay
-    independent there and their dense operator with its Gram factor. None of
-    it depends on the cost, so one CliqueFace serves every cost solve on
-    (graph, k).
-    """
-
-    graph: Graph
-    k: int
-    cliques: list
-    ops: FaceMap
-
-
-def clique_face(g: Graph, k: int) -> CliqueFace:
+def clique_face(g: Graph, k: int) -> FaceMap:
     """Build the clique face of g's cost SDP for palette size k.
 
     Every K_k Q forces u_Q^T X u_Q = 0 (u_Q its indicator vector), so X u_Q = 0
@@ -164,13 +147,15 @@ def clique_face(g: Graph, k: int) -> CliqueFace:
     u_Q (the identity when g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T
     (i in Q), a constraint combination of b-weight 0, vanishes; FaceMap drops
     the constraints this makes dependent, which the zero b-weight makes sound.
+    The face does not depend on the cost, so one serves every cost solve on
+    (g, k).
     """
     problem = build_cost_sdp(g, k, np.zeros((g.n, g.n)))
     cliques = enumerate_cliques(g, k)
     u = np.zeros((g.n, len(cliques)))
     for col, q in enumerate(cliques):
         u[[v - 1 for v in q], col] = 1.0
-    return CliqueFace(g, k, cliques, FaceMap(sla.null_space(u.T), problem.constraints))
+    return FaceMap(sla.null_space(u.T), problem.constraints)
 
 
 @dataclass(frozen=True)
@@ -186,7 +171,7 @@ class CostSolution:
     face: SdpSolution
 
 
-def solve_cost(face: CliqueFace, cost: np.ndarray) -> CostSolution:
+def solve_cost(face: FaceMap, cost: np.ndarray) -> CostSolution:
     """Solve the cost SDP with this cost on its clique face; lift X.
 
     Only the cost is new per solve: the solver projects it to V^T C V and
@@ -196,6 +181,6 @@ def solve_cost(face: CliqueFace, cost: np.ndarray) -> CostSolution:
     constraint combination of b-weight 0, without changing its objective, so
     its optimum need not be attained.
     """
-    ops = face.ops
-    sol = solve(SdpProblem(face.graph.n, np.asarray(cost, dtype=float), ops.constraints, ops))
-    return CostSolution(symmetrize(ops.basis @ sol.X @ ops.basis.T), sol)
+    sol = solve(SdpProblem(face.basis.shape[0], np.asarray(cost, dtype=float),
+                           face.constraints, face))
+    return CostSolution(symmetrize(face.basis @ sol.X @ face.basis.T), sol)

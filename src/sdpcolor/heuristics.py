@@ -13,9 +13,17 @@ unsuccessful full pass proves the state can never change again).
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
-solve of the run reuses it; only the cost changes between solves. A solve's
-iterate is used when it polishes to an exact optimum or when the solve ends
-optimal or inaccurate; any other status ends the run as solver-error.
+solve of the run reuses it; only the cost changes between solves. A solve
+must end optimal or inaccurate; any other status ends the run as solver-error.
+
+A run ends colored after a solve whose iterate X gives a coloring: the
+anchor-aligned classes cover every vertex and form a proper 4-coloring, and
+that coloring's reference Gram matrix has a cost objective of at most
+<C, X> + 1e-6 (1 + |<C, X>|). The Gram matrix is then an optimum of rank 3,
+which is what the paper's rank test looks for, and the run reports rank 3. The
+rank of X itself does not decide it: an iterate that converges to that optimum
+keeps eigenvalues of the order of the square root of its duality gap, which
+can sit above the rank cut.
 """
 
 from __future__ import annotations
@@ -25,20 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateReport, certify_cost
-from .formulations import (
-    CliqueFace,
-    clique_face,
-    extract_coloring,
-    reference_solution,
-    solve_cost,
-)
+from .formulations import clique_face, reference_solution, solve_cost
 from .graphs import Coloring, Graph, find_clique, validate_coloring
 from .linalg import numerical_rank
-from .sdp import INACCURATE, OPTIMAL
+from .sdp import INACCURATE, OPTIMAL, FaceMap
 
 ALIGN_TOL = 1e-4
 PALETTE = 4
-TARGET_RANK = 3
 
 COLORED = "colored"
 FAILED = "failed"
@@ -80,46 +81,22 @@ def format_log(log) -> str:
     )
 
 
-def _polish(g: Graph, k: int, objective: np.ndarray, x: np.ndarray, obj: float):
-    """Snap a reference-shaped iterate to the exact optimum of its face.
+def solve_modified(face: FaceMap, cost: np.ndarray):
+    """Solve the cost SDP on a graph's clique face; returns (X, rank_primal).
 
-    Interior-point iterates that land on a reference solution carry square-
-    root-of-gap noise in the directions where primal and dual both vanish,
-    enough to blur the rank count. When the iterate x (objective obj) extracts
-    to a proper coloring whose exact Gram matrix achieves the same objective
-    (certified against the dual bound through the iterate's own objective),
-    that Gram matrix is the optimum itself, so return it; otherwise None.
-    """
-    coloring = extract_coloring(x, k)
-    if coloring is None or not validate_coloring(g, coloring):
-        return None
-    x_ref = reference_solution(g, coloring)
-    ref_obj = float(np.sum(objective * x_ref))
-    if ref_obj > obj + 1e-6 * (1.0 + abs(obj)):
-        return None
-    return x_ref
-
-
-def solve_modified(face: CliqueFace, cost: np.ndarray):
-    """Solve the cost SDP on the clique face of a graph; returns (X, rank_primal).
-
-    The face (formulations.clique_face) fixes the graph and the palette size;
-    X comes lifted from it (formulations.solve_cost). It is the
-    polished optimum when the lifted iterate snaps to one (see _polish), else
-    that iterate, whose solve must then be optimal or inaccurate: an
-    inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with a small
-    duality gap, so its entries sit well within the 1e-4 alignment
-    tolerance and the heuristic can still read accept/reject decisions off
-    it. Any other status raises SolverError. The rank is counted at
-    linalg.DEFAULT_RANK_TAU.
+    The face is formulations.clique_face(g, 4); X comes lifted from it
+    (formulations.solve_cost) and its rank, counted at
+    linalg.DEFAULT_RANK_TAU, goes to the step log only: the run stops on the
+    rule in the module docstring. The solve must end optimal or inaccurate:
+    an inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with a small
+    duality gap, so its entries sit well within the 1e-4 alignment tolerance
+    and the heuristic can still read accept/reject decisions off it. Any
+    other status raises SolverError.
     """
     sol = solve_cost(face, cost)
-    x = _polish(face.graph, face.k, cost, sol.X, sol.face.primal_obj)
-    if x is None:
-        if sol.face.status not in (OPTIMAL, INACCURATE):
-            raise SolverError(f"cost SDP ended with status {sol.face.status}")
-        x = sol.X
-    return x, numerical_rank(x)
+    if sol.face.status not in (OPTIMAL, INACCURATE):
+        raise SolverError(f"cost SDP ended with status {sol.face.status}")
+    return sol.X, numerical_rank(sol.X)
 
 
 def heuristic1(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
@@ -168,21 +145,26 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
         step += 1
         log.append(LogEntry(step, vertex, anchor_idx, action, rank))
 
-    def finish(status, x, rank):
+    def colored(x):
+        """The coloring x's aligned classes give, if it ends the run (module docstring)."""
+        classes = classes_from(x)
+        assignment = [0] * n
+        for q, a in enumerate(anchors, start=1):
+            for v in classes[a]:
+                assignment[v - 1] = q
+        if 0 in assignment:
+            return None
+        coloring = Coloring(PALETTE, tuple(assignment))
+        if not validate_coloring(g, coloring):
+            return None
+        obj = float(np.sum(cost * x))
+        if np.sum(cost * reference_solution(g, coloring)) > obj + 1e-6 * (1.0 + abs(obj)):
+            return None
+        return coloring
+
+    def finish(status, x, rank, coloring=None):
         classes = classes_from(x)
         class_tuple = tuple(tuple(classes[a]) for a in anchors)
-        coloring = None
-        if status == COLORED:
-            assignment = [0] * n
-            for q, a in enumerate(anchors, start=1):
-                for v in classes[a]:
-                    assignment[v - 1] = q
-            if 0 in assignment:
-                status = SOLVER_ERROR  # rank said colored but alignment is torn
-            else:
-                coloring = Coloring(PALETTE, tuple(assignment))
-                if not validate_coloring(g, coloring):
-                    status, coloring = SOLVER_ERROR, None
         return HeuristicOutcome(status, coloring, class_tuple, rank, solves, tuple(log))
 
     def run_solver():
@@ -203,7 +185,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     pending = None  # (vertex, anchor index, undo thunk)
 
     try:
-        while rank_p > TARGET_RANK:
+        while (coloring := colored(x)) is None:
             if pending is not None:
                 v, q, undo = pending
                 pending = None
@@ -217,11 +199,11 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                     continue
 
             classes = classes_from(x)
-            colored = {v for cls in classes.values() for v in cls}
+            covered = {v for cls in classes.values() for v in cls}
             found = None
             for _ in range(n + 1):
                 v = scan
-                if v not in colored:
+                if v not in covered:
                     if all(a in badcolors for a in anchors):
                         return finish(FAILED, x, rank_p)  # vertex exhausted
                     for q, a in enumerate(anchors, start=1):
@@ -269,7 +251,8 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     except _BudgetExceeded:
         return finish(FAILED, x, rank_p)
 
-    return finish(COLORED, x, rank_p)
+    # the reference Gram matrix of a coloring with all four colors has rank 3
+    return finish(COLORED, x, PALETTE - 1, coloring)
 
 
 class _BudgetExceeded(Exception):

@@ -471,8 +471,8 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         alpha_p = min(1.0, gamma * _max_step(x, dx))
         alpha_d = min(1.0, gamma * _max_step(s, ds))
 
-        x = symmetrize(x + alpha_p * dx)
-        s = symmetrize(s + alpha_d * ds)
+        x = x + alpha_p * dx
+        s = s + alpha_d * ds
         y = y + alpha_d * dy
         gamma = _GAMMA_FLOOR + 0.09 * min(alpha_p, alpha_d)
         center_next = min(alpha_p, alpha_d) < 0.05

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from conftest import complete_graph, path_graph
 from sdpcolor.formulations import clique_face
-from sdpcolor.graphs import enumerate_cliques, validate_coloring
+from sdpcolor.graphs import enumerate_cliques, parse_plantri_ascii, validate_coloring
 from sdpcolor.heuristics import (
     COLORED,
     FAILED,
@@ -51,10 +51,11 @@ class TestSolveModified:
         x, _ = solve_modified(face, cost)
         assert abs(np.sum(cost * x) + 2.8462808) <= 1e-6
         cliques = enumerate_cliques(g, 4)
-        assert len(cliques) == 2 and face.cliques == cliques
+        assert len(cliques) == 2
         for q in cliques:
             u = np.zeros(g.n)
             u[[v - 1 for v in q]] = 1.0
+            assert np.allclose(face.basis.T @ u, 0.0, atol=1e-12)
             assert np.allclose(x @ u, 0.0, atol=1e-7)
 
 
@@ -92,6 +93,21 @@ class TestHeuristicRuns:
         out = heuristic2(fig5)
         assert out.status == COLORED
         assert validate_coloring(fig5, out.coloring)
+
+    def test_colored_when_reference_gram_matrix_is_optimal(self):
+        # A maximal planar graph on 12 vertices. After three solves the aligned
+        # classes form a proper 4-coloring whose Gram matrix attains the
+        # objective, while the iterate keeps four eigenvalues of 2e-5..2e-4
+        # above the rank cut (numerical rank 7). The run stops colored there.
+        g = parse_plantri_ascii(
+            "12 bdefhijkl,aghijkl,defh,acef,acdghi,acdh,behi,abcefgj,abegk,abhl,abi,abj")[0]
+        for runner in (heuristic1, heuristic2):
+            out = runner(g)
+            assert out.status == COLORED
+            assert out.solve_count == 3
+            assert out.final_rank == 3
+            assert out.classes == ((1, 3, 7), (2, 4), (8, 9, 12), (5, 6, 10, 11))
+            assert validate_coloring(g, out.coloring)
 
     def test_solve_budget_bound(self, fig3, fig4):
         for g in (fig3, fig4):

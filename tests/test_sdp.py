@@ -207,7 +207,7 @@ class TestConstraintMap:
         face = clique_face(g, 4)
         lp, *_ = diagonal_lp_instance(np.random.default_rng(5), 6, 4)
         return [build_svcn(fig3), build_cost_sdp(g, 4, cost),
-                SdpProblem(g.n, cost, face.ops.constraints, face.ops), lp,
+                SdpProblem(g.n, cost, face.constraints, face), lp,
                 build_svcn(generate_ktree(4, 30, 20240811)[0])]
 
     def test_schur_spans_several_blocks(self, fig3, corpora):
