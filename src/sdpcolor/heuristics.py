@@ -102,7 +102,8 @@ def solve_modified(face: FaceMap, cost: np.ndarray):
 def heuristic1(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
     """Chained-cost heuristic: rebuild the cost matrix from whole classes.
 
-    A run stops as failed after max_solves cost solves (default 4 n^2).
+    A run stops as failed after max_solves cost solves (default 4 n^2); a
+    max_solves below 1 raises ValueError.
     """
     return _run(g, chained=True, max_solves=max_solves)
 
@@ -110,12 +111,15 @@ def heuristic1(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
 def heuristic2(g: Graph, max_solves: int | None = None) -> HeuristicOutcome:
     """Single-entry heuristic: link each chosen vertex directly to its anchor.
 
-    A run stops as failed after max_solves cost solves (default 4 n^2).
+    A run stops as failed after max_solves cost solves (default 4 n^2); a
+    max_solves below 1 raises ValueError.
     """
     return _run(g, chained=False, max_solves=max_solves)
 
 
 def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
+    if max_solves is not None and max_solves < 1:
+        raise ValueError(f"max_solves must be at least 1, not {max_solves}")
     clique = find_clique(g, PALETTE)
     if clique is None:
         raise ValueError("graph has no K_4; the heuristics require one")
@@ -169,9 +173,9 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
 
     def run_solver():
         nonlocal solves
-        solves += 1
-        if solves > budget:
+        if solves == budget:
             raise _BudgetExceeded()
+        solves += 1
         return solve_modified(face, cost)
 
     try:

@@ -91,6 +91,14 @@ class TestBatchCommand:
         assert "failures" in out
         assert " 7 " in out.splitlines()[1]
 
+    def test_batch_zero_budget_is_a_usage_error(self, capsys):
+        code = cli_main([
+            "batch", "--corpus", fixture_path(corpus_name(7)), "--algo", "1",
+            "--budget", "0",
+        ])
+        assert code == 2
+        assert "max_solves" in capsys.readouterr().err
+
     def test_batch_csv_row_count(self, capsys):
         code = cli_main([
             "batch", "--corpus", fixture_path(corpus_name(7)), "--algo", "2",

@@ -143,6 +143,12 @@ class TestHeuristicRuns:
     def test_budget_exhaustion_reports_failed(self, fig3):
         out = heuristic1(fig3, max_solves=2)
         assert out.status == FAILED
+        assert out.solve_count == 2
+
+    def test_budget_below_one_rejected(self, fig3):
+        for runner in (heuristic1, heuristic2):
+            with pytest.raises(ValueError):
+                runner(fig3, max_solves=0)
 
     def test_log_format(self, fig4):
         out = heuristic1(fig4)

@@ -14,6 +14,7 @@ from sdpcolor.formulations import (
     clique_face,
     reference_solution,
     solve_cost,
+    solve_svcn,
 )
 from sdpcolor.graphs import Coloring, find_clique, generate_ktree, is_ktree
 from sdpcolor.linalg import min_eigenvalue, symmetrize
@@ -140,6 +141,16 @@ class TestSolverProperties:
         sol = solve(build_svcn(generate_ktree(4, 60, 20240811)[0]))
         assert sol.status == OPTIMAL
         assert 0 < sol.lu_steps <= sol.iterations
+
+    def test_svcn_ranks_within_iteration_bound(self, fig1):
+        # the post-tolerance window serves these rank counts: the first passing
+        # iterate and the next one resolve them
+        tree = generate_ktree(4, 60, 20240811)[0]
+        for g, ranks, max_iterations in ((fig1, (24, 1), 13), (tree, (3, 57), 14)):
+            summary = solve_svcn(g, tau=1e-6)
+            assert summary.solution.status == OPTIMAL
+            assert (summary.rank_primal, summary.rank_dual) == ranks
+            assert summary.solution.iterations <= max_iterations
 
     def test_infeasible_problem_degrades_gracefully(self):
         # X_11 = -1 contradicts positive semidefiniteness

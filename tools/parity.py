@@ -4,21 +4,23 @@
 For each corpus file and figure it runs both heuristics on every graph with a K_4
 and prints the status, solve count, final rank, coloring, classes and format_log.
 It can also print certify_cost on every K_4 graph of a corpus (with the oracle's
-coloring) and certify_ktree on the 200 (k, n, seed) triples of acceptance
-criterion 3. The output depends only on the code under src/ next to this file, so
-checking two commits for parity is one diff:
+coloring), certify_ktree on the 200 (k, n, seed) triples of acceptance
+criterion 3, and the SVCN solves of fig1 and of the 4-trees on 60, 80 and 100
+vertices (the benchmark's svcn_large items): objective repr, primal and dual
+rank, status, iterations and LU steps. The output depends only on the code under
+src/ next to this file, so checking two commits for parity is one diff:
 
     python tools/parity.py > a.txt        # in one checkout
     python tools/parity.py > b.txt        # in the other
     diff a.txt b.txt
 
 Usage: python tools/parity.py [--corpus FILE]... [--figure NAME]...
-                              [--certify-cost FILE]... [--certify-ktree]
+                              [--certify-cost FILE]... [--certify-ktree] [--svcn]
 
 A corpus FILE is a plantri-ascii path or the name of a shipped corpus
 (planar_n10.txt). With no arguments it prints the standard set: both heuristics on
 every shipped corpus (n = 5..10) and on fig3, fig4 and fig5, certify_cost on
-planar_n10.txt, and the certify_ktree triples.
+planar_n10.txt, the certify_ktree triples and the four SVCN solves.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sdpcolor.certificates import certify_cost, certify_ktree  # noqa: E402
 from sdpcolor.fixtures import CORPUS_RANGE, corpus_name, fixture_text, load_figure  # noqa: E402
+from sdpcolor.formulations import solve_svcn  # noqa: E402
 from sdpcolor.graphs import chromatic_oracle, find_clique, generate_ktree, parse_plantri_ascii  # noqa: E402
 from sdpcolor.heuristics import format_log, heuristic1, heuristic2  # noqa: E402
 
 CRITERION3_SEED = 20240811
 FIGURES = ("fig3", "fig4", "fig5")
+SVCN_TREE_SIZES = (60, 80, 100)
 
 
 def load_corpus_file(name: str) -> list:
@@ -68,6 +72,14 @@ def print_report(header: str, report) -> None:
     print(report.to_text())
 
 
+def print_svcn(label: str, g) -> None:
+    summary = solve_svcn(g)
+    sol = summary.solution
+    print(f"svcn {label} objective={summary.objective!r}"
+          f" rank={summary.rank_primal}/{summary.rank_dual} status={sol.status}"
+          f" iterations={sol.iterations} lu_steps={sol.lu_steps}")
+
+
 def criterion3_triples() -> list:
     rng = random.Random(CRITERION3_SEED)
     triples = []
@@ -86,12 +98,16 @@ def main() -> None:
                         help="certify_cost on this corpus's K_4 graphs")
     parser.add_argument("--certify-ktree", action="store_true",
                         help="certify_ktree on acceptance criterion 3's 200 triples")
+    parser.add_argument("--svcn", action="store_true",
+                        help="SVCN on fig1 and the 4-trees on 60, 80 and 100 vertices")
     args = parser.parse_args()
-    if not (args.corpus or args.figure or args.certify_cost or args.certify_ktree):
+    if not (args.corpus or args.figure or args.certify_cost or args.certify_ktree
+            or args.svcn):
         args.corpus = [corpus_name(n) for n in CORPUS_RANGE]
         args.figure = list(FIGURES)
         args.certify_cost = [corpus_name(10)]
         args.certify_ktree = True
+        args.svcn = True
 
     for name in args.corpus:
         for label, g in k4_graphs(name):
@@ -105,6 +121,11 @@ def main() -> None:
         for k, n, seed in criterion3_triples():
             g, _ = generate_ktree(k, n, seed)
             print_report(f"ktree k={k} n={n} seed={seed}", certify_ktree(g, k))
+    if args.svcn:
+        print_svcn("fig1", load_figure("fig1"))
+        for n in SVCN_TREE_SIZES:
+            print_svcn(f"tree k=4 n={n} seed={CRITERION3_SEED}",
+                       generate_ktree(4, n, CRITERION3_SEED)[0])
 
 
 if __name__ == "__main__":
