@@ -123,10 +123,13 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
     A checkpoint file starts with a header naming algo, max_solves and the
     corpus's sha256, then holds one line "index status solves seconds" per
     finished graph, written and flushed as each arrives. A rerun with the
-    same file keeps the stored rows and runs only the missing graphs.
+    same file keeps the stored rows and runs only the missing graphs. A
+    max_solves below 1 raises ValueError before the checkpoint is touched.
     """
     if algo not in (1, 2):
         raise ValueError("algo must be 1 or 2")
+    if max_solves is not None and max_solves < 1:
+        raise ValueError(f"max_solves must be at least 1, not {max_solves}")
     graphs = parse_plantri_ascii(corpus_text)
     if not long_mode and any(g.n > LONG_MODE_THRESHOLD for g in graphs):
         raise ValueError(

@@ -88,10 +88,10 @@ def solve_modified(face: FaceMap, cost: np.ndarray):
     (formulations.solve_cost) and its rank, counted at
     linalg.DEFAULT_RANK_TAU, goes to the step log only: the run stops on the
     rule in the module docstring. The solve must end optimal or inaccurate:
-    an inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with a small
-    duality gap, so its entries sit well within the 1e-4 alignment tolerance
-    and the heuristic can still read accept/reject decisions off it. Any
-    other status raises SolverError.
+    an inaccurate iterate is feasible to 10 * sdp.DEFAULT_TOL with its
+    duality gap within the same bound, so its entries sit well within the
+    1e-4 alignment tolerance and the heuristic can still read accept/reject
+    decisions off it. Any other status raises SolverError.
     """
     sol = solve_cost(face, cost)
     if sol.face.status not in (OPTIMAL, INACCURATE):

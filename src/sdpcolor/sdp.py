@@ -33,24 +33,25 @@ lu_steps. A step length to the PSD boundary is -1/lambda_min of the pencil
 eigenvalues); when P's Cholesky fails, an eigh of P gives the eigenvalues
 instead. It is deterministic. It assumes independent constraints and a
 feasible set with an interior: when the interior is empty, steps shrink
-toward the boundary and the solve can stall until the iteration cap; it then
-returns its best-merit iterate, which is inaccurate only when within the
-bounds below and max-iterations otherwise. Give such a problem the FaceMap of
-the face that holds its feasible set, as formulations.clique_face does for
-the cost SDP.
+toward the boundary and the solve can run to the iteration cap. Give such a
+problem the FaceMap of the face that holds its feasible set, as
+formulations.clique_face does for the cost SDP.
 
-One pass decides the status. Relative primal and dual residuals and the
-relative duality gap are measured at every iterate; an iterate passes a
-tolerance when all three are within it. The solve returns, in this order:
+Relative primal and dual residuals and the relative duality gap are measured
+at every iterate; an iterate passes a tolerance when all three are within it.
+The loop has four exits; the status and the iteration count name the one
+that fired:
 
-- optimal: an iterate passing tol, the one with the smallest X . S of the
-  first one that passes and the iterate after it;
-- inaccurate: failing that, the same choice at 10 * tol;
-- inaccurate: failing that, the best-merit iterate when its residuals are
-  within 10 * tol and its gap within 1000 * tol;
-- max-iterations or numerical-failure: otherwise, the best-merit iterate,
-  named after what stopped the loop (the iteration cap or a stall, or a
-  non-finite direction).
+- optimal: the window at DEFAULT_TOL closed; the solve returns the passing
+  iterate with the smallest X . S of the first one that passes and the
+  iterate after it;
+- the DEFAULT_MAX_ITER cap, or the drift stop before it: for 8 iterates in
+  a row the merit, the largest of the three measures, stayed above 100 times
+  its best value so far, once that best was below 1e-4. Both return
+  inaccurate, the same choice from the window at 10 * DEFAULT_TOL when any
+  iterate passed it, or else max-iterations, the last iterate;
+- numerical-failure: S could not be inverted or a search direction was not
+  finite; the solve returns the iterate that step started from.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ NUMERICAL_FAILURE = "numerical-failure"
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _WINDOW = 2  # iterates compared once a tolerance is first met
-_RELAXED = 10.0  # inaccurate: residuals within _RELAXED * tol ...
-_RELAXED_GAP = 1000.0  # ... and duality gap within _RELAXED_GAP * tol
+_RELAXED = 10.0  # inaccurate: the window at _RELAXED * DEFAULT_TOL
 _REFINE_STEPS = 2
 _EPS = np.finfo(float).eps
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
@@ -294,14 +294,6 @@ def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _inv_psd(s: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(s)
-    except np.linalg.LinAlgError:
-        jitter = 1e-14 * (1.0 + float(np.trace(s)) / s.shape[0])
-        return np.linalg.inv(s + jitter * np.eye(s.shape[0]))
-
-
 class _Factor:
     """Factor a symmetric positive definite system once; solve with refinement.
 
@@ -376,13 +368,13 @@ class _Window:
             self.seen += 1
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the SDP in one pass of at most DEFAULT_MAX_ITER iterations.
 
-    The status is optimal, inaccurate, max-iterations or numerical-failure,
-    chosen by the rules in the module docstring. On a face X = V W V^T, X and
-    S are those of W, of order V's column count, and the caller lifts what it
-    needs.
+    The status is optimal, inaccurate, max-iterations or numerical-failure;
+    with the iteration count it names the loop exit that produced it (see the
+    module docstring). On a face X = V W V^T, X and S are those of W, of
+    order V's column count, and the caller lifts what it needs.
     """
     if problem.face is None:
         ops = ConstraintMap(problem)
@@ -400,16 +392,14 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     s = res_scale * eye
     y = np.zeros(problem.m)
 
-    best = None
-    best_merit = np.inf
     status = MAX_ITERATIONS
     iterations = 0
     lu_steps = 0
-    small_steps = 0
+    best_merit = np.inf
     diverging = 0
     gamma = _GAMMA_FLOOR
-    strict = _Window(tol)
-    relaxed = _Window(_RELAXED * tol)
+    strict = _Window(DEFAULT_TOL)
+    relaxed = _Window(_RELAXED * DEFAULT_TOL)
 
     def measure(x, y, s):
         rp = b - ops.gather(x)
@@ -424,54 +414,50 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     center_next = False
 
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        rp, rd, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
-        merit = max(rel_p, rel_d, rel_gap)
-        if merit < best_merit:
-            best_merit = merit
-            best = (x.copy(), y.copy(), s.copy())
+        rp, rd, _, _, rel_p, rel_d, rel_gap = measure(x, y, s)
         relaxed.offer(x, y, s, rel_p, rel_d, rel_gap)
         strict.offer(x, y, s, rel_p, rel_d, rel_gap)
         if strict.closed:
+            x, y, s = strict.iterate
+            status = OPTIMAL
             break
+        merit = max(rel_p, rel_d, rel_gap)
+        best_merit = min(best_merit, merit)
         drifting = best_merit < 1e-4 and merit > 100.0 * best_merit
         diverging = diverging + 1 if drifting else 0
         if diverging >= 8:
-            break  # drifting on roundoff noise; keep the best iterate
+            break  # drifting on roundoff noise; returns as at the cap
         iterations = it
 
-        s_inv = _inv_psd(s)
-        if not np.all(np.isfinite(s_inv)):
-            status = NUMERICAL_FAILURE
-            break
-        schur = _Factor(symmetrize(ops.schur(x, symmetrize(s_inv))))
-        lu_steps += schur._cho is None
+        try:
+            s_inv = np.linalg.inv(s)
+            schur = _Factor(symmetrize(ops.schur(x, symmetrize(s_inv))))
+            lu_steps += schur._cho is None
 
-        xs = x @ s
-        mu = _inner(x, s) / ell
+            xs = x @ s
+            mu = _inner(x, s) / ell
 
-        def direction(rc):
-            g = (rc - x @ rd) @ s_inv
-            dy = schur.solve(rp - ops.gather(g))
-            ds = symmetrize(rd - ops.scatter(dy))
-            dx = symmetrize((rc - x @ ds) @ s_inv)
-            return ops.restore(dx, rp), dy, ds
+            def direction(rc):
+                g = (rc - x @ rd) @ s_inv
+                dy = schur.solve(rp - ops.gather(g))
+                ds = symmetrize(rd - ops.scatter(dy))
+                dx = symmetrize((rc - x @ ds) @ s_inv)
+                if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
+                    raise np.linalg.LinAlgError("non-finite search direction")
+                return ops.restore(dx, rp), dy, ds
 
-        if center_next:
-            # pure centering step to recover step length after a near-stall
-            dx, dy, ds = direction(mu * eye - xs)
-            center_next = False
-        else:
-            dx_a, dy_a, ds_a = direction(-xs)
-            if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(ds_a))):
-                status = NUMERICAL_FAILURE
-                break
-            ap_a = min(1.0, gamma * _max_step(x, dx_a))
-            ad_a = min(1.0, gamma * _max_step(s, ds_a))
-            mu_aff = _inner(x + ap_a * dx_a, s + ad_a * ds_a) / ell
-            sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
-            rc = sigma * mu * eye - xs - dx_a @ ds_a
-            dx, dy, ds = direction(rc)
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
+            if center_next:
+                # pure centering step to recover step length after a near-stall
+                dx, dy, ds = direction(mu * eye - xs)
+            else:
+                dx_a, dy_a, ds_a = direction(-xs)
+                ap_a = min(1.0, gamma * _max_step(x, dx_a))
+                ad_a = min(1.0, gamma * _max_step(s, ds_a))
+                mu_aff = _inner(x + ap_a * dx_a, s + ad_a * ds_a) / ell
+                sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
+                rc = sigma * mu * eye - xs - dx_a @ ds_a
+                dx, dy, ds = direction(rc)
+        except np.linalg.LinAlgError:  # S singular, or a direction not finite
             status = NUMERICAL_FAILURE
             break
         alpha_p = min(1.0, gamma * _max_step(x, dx))
@@ -483,24 +469,9 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         gamma = _GAMMA_FLOOR + 0.09 * min(alpha_p, alpha_d)
         center_next = min(alpha_p, alpha_d) < 0.05
 
-        if max(alpha_p, alpha_d) < 1e-8:
-            small_steps += 1
-            if small_steps >= 5:  # stalled; stop rather than diverge
-                break
-        else:
-            small_steps = 0
-
-    if strict.iterate is not None:
-        x, y, s = strict.iterate
-        status = OPTIMAL
-    elif relaxed.iterate is not None:
+    if status == MAX_ITERATIONS and relaxed.iterate is not None:
         x, y, s = relaxed.iterate
         status = INACCURATE
-    elif best is not None:
-        x, y, s = best
 
-    _, _, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
-    if (status != OPTIMAL and max(rel_p, rel_d) <= _RELAXED * tol
-            and rel_gap <= _RELAXED_GAP * tol):
-        status = INACCURATE
+    _, _, pobj, dobj, _, _, _ = measure(x, y, s)
     return SdpSolution(x, y, s, pobj, dobj, status, iterations, lu_steps)

@@ -99,6 +99,16 @@ class TestBatchCommand:
         assert code == 2
         assert "max_solves" in capsys.readouterr().err
 
+    def test_batch_zero_budget_leaves_no_checkpoint(self, capsys, tmp_path):
+        ck = tmp_path / "progress"
+        code = cli_main([
+            "batch", "--corpus", fixture_path(corpus_name(7)), "--algo", "1",
+            "--budget", "0", "--checkpoint", str(ck),
+        ])
+        assert code == 2
+        assert "max_solves" in capsys.readouterr().err
+        assert not ck.exists()
+
     def test_batch_csv_row_count(self, capsys):
         code = cli_main([
             "batch", "--corpus", fixture_path(corpus_name(7)), "--algo", "2",

@@ -59,7 +59,7 @@ class TestBuildCostSdp:
         g, _ = generate_ktree(4, 9, seed=3)
         _, coloring = chromatic_oracle(g)
         cost = coloring_cost_matrix(g, coloring)
-        sol = solve(build_cost_sdp(g, 4, cost), tol=1e-7)
+        sol = solve(build_cost_sdp(g, 4, cost))
         assert abs(sol.primal_obj - cost.sum()) <= 1e-5 * (1 + abs(cost.sum()))
 
     def test_independent_cost_objective(self):

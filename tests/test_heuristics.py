@@ -30,10 +30,8 @@ class TestSolveModified:
         assert rank_p > 3
 
     def test_best_iterate_rule_accepts_stalled_solve(self, corpora):
-        # Pins this run's outcome. On the unreduced cost SDP its second solve
-        # stalled at a 2e-6 duality gap and was accepted only as an inaccurate
-        # best iterate; on the clique face every solve ends optimal. The rule
-        # itself is tested on that unreduced solve in test_sdp.
+        # Pins this run's outcome: on the clique face every solve ends
+        # optimal, where the unreduced cost SDP's second solve does not.
         out = heuristic2(corpora[10][140])
         assert out.status == COLORED
         assert out.solve_count == 6
