@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
 
-from .graphs import Graph, find_clique, parse_plantri_ascii
+from .graphs import Graph, find_clique, iter_plantri_ascii
 from .heuristics import COLORED, FAILED, heuristic1, heuristic2
 
 LONG_MODE_THRESHOLD = 11  # corpora with larger graphs require explicit opt-in
@@ -118,7 +118,10 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
     counts cover only graphs with one); otherwise they appear with status
     "no-k4". Row order follows file order regardless of the worker pool, so
     reports are deterministic. Corpora containing graphs with more than 11
-    vertices are refused unless long_mode is set.
+    vertices are refused unless long_mode is set. The corpus is parsed once
+    whole, so a malformed line or a refused graph raises before any run, and
+    then again lazily: graphs and their tasks are built as the runs draw them,
+    so no more than a few are held at a time.
 
     A checkpoint file starts with a header naming algo, max_solves and the
     corpus's sha256, then holds one line "index status solves seconds" per
@@ -130,8 +133,9 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
         raise ValueError("algo must be 1 or 2")
     if max_solves is not None and max_solves < 1:
         raise ValueError(f"max_solves must be at least 1, not {max_solves}")
-    graphs = parse_plantri_ascii(corpus_text)
-    if not long_mode and any(g.n > LONG_MODE_THRESHOLD for g in graphs):
+    lines = corpus_text.splitlines()
+    largest = max((g.n for g in iter_plantri_ascii(lines)), default=0)
+    if not long_mode and largest > LONG_MODE_THRESHOLD:
         raise ValueError(
             f"corpus has graphs with n > {LONG_MODE_THRESHOLD}; pass long_mode"
         )
@@ -140,24 +144,26 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
         done = _resume(checkpoint, _checkpoint_header(corpus_text, algo, max_solves))
 
     skipped_rows = []
-    tasks = []
-    for index, g in enumerate(graphs):
-        has_k4 = find_clique(g, 4) is not None
-        if not has_k4:
-            if not filter_k4:
-                skipped_rows.append(BatchRow(index, g.n, False, algo, NO_K4, 0, 0.0))
-            continue
-        if index in done:
-            status, solves, seconds = done[index]
-            skipped_rows.append(BatchRow(index, g.n, True, algo, status, solves, seconds))
-            continue
-        tasks.append((index, g.n, tuple(g.edges), algo, max_solves))
 
-    if jobs > 1 and len(tasks) > 1:
+    def tasks():
+        for index, g in enumerate(iter_plantri_ascii(lines)):
+            if find_clique(g, 4) is None:
+                if not filter_k4:
+                    skipped_rows.append(BatchRow(index, g.n, False, algo, NO_K4, 0, 0.0))
+            elif index in done:
+                status, solves, seconds = done[index]
+                skipped_rows.append(BatchRow(index, g.n, True, algo, status, solves, seconds))
+            else:
+                yield index, g.n, tuple(g.edges), algo, max_solves
+
+    # Under a pool, the pool's feeder thread draws tasks() and appends to
+    # skipped_rows; imap ends only after that generator is exhausted, so the
+    # list is complete once _collect returns.
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
-            fresh = _collect(pool.imap(_run_one, tasks, chunksize=1), checkpoint)
+            fresh = _collect(pool.imap(_run_one, tasks(), chunksize=1), checkpoint)
     else:
-        fresh = _collect(map(_run_one, tasks), checkpoint)
+        fresh = _collect(map(_run_one, tasks()), checkpoint)
 
     rows = tuple(sorted(skipped_rows + fresh, key=lambda r: r.index))
     return BatchReport(algo, filter_k4, rows)

@@ -1,4 +1,4 @@
-"""Shipped fixture graphs: the four figure graphs and plantri corpora n=5..10.
+"""Shipped fixture graphs: the four figure graphs and plantri corpora n=5..11.
 
 The figure graphs were transcribed from the source drawings; the corpora list
 every maximal planar graph (sphere triangulation) on n vertices, one per line
@@ -12,7 +12,7 @@ from importlib.resources import files
 from ..graphs import Graph, parse_edge_list, parse_plantri_ascii
 
 FIGURES = ("fig1.edges", "fig3.edges", "fig4.edges", "fig5.edges")
-CORPUS_RANGE = range(5, 11)
+CORPUS_RANGE = range(5, 12)
 
 
 def fixture_text(name: str) -> str:

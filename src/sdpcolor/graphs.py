@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import Iterator
 
 
 class GraphParseError(ValueError):
@@ -157,14 +158,19 @@ def validate_trace(g: Graph, trace: KTreeTrace) -> bool:
 # ---------------------------------------------------------------------------
 
 def parse_plantri_ascii(text: str) -> list:
-    """Parse plantri ascii output, one graph per line.
+    """Every graph of plantri ascii text, in order (see iter_plantri_ascii)."""
+    return list(iter_plantri_ascii(text.splitlines()))
+
+
+def iter_plantri_ascii(lines) -> Iterator[Graph]:
+    """Parse plantri ascii output lazily, one graph per non-blank line.
 
     Line format: "<n> <adj_1>,<adj_2>,...,<adj_n>" where each adj_i is a
     string of lowercase letters and 'a' denotes vertex 1. Adjacency must be
-    symmetric; asymmetry is a parse error, not silently repaired.
+    symmetric; asymmetry is a parse error, not silently repaired. Each graph
+    is yielded as its line is read, so a corpus is never held as graphs.
     """
-    graphs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -195,8 +201,7 @@ def parse_plantri_ascii(text: str) -> list:
                         f"asymmetric adjacency between {v} and {w}", lineno
                     )
         edges = {(v, w) for v in range(1, n + 1) for w in adj[v] if v < w}
-        graphs.append(Graph.from_edges(n, edges))
-    return graphs
+        yield Graph.from_edges(n, edges)
 
 
 def plantri_line(g: Graph) -> str:

@@ -9,7 +9,8 @@ class members, the second links the vertex straight to its anchor.
 The original procedure loops forever when no vertex can be colored; here a run
 fails as soon as the scanned vertex has exhausted all four anchors or a full
 cyclic pass finds nothing admissible (every failed attempt is undone, so an
-unsuccessful full pass proves the state can never change again).
+unsuccessful full pass proves the state can never change again), or when the
+solve budget is spent. A failed outcome names which of the three ended it.
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
@@ -45,6 +46,11 @@ COLORED = "colored"
 FAILED = "failed"
 SOLVER_ERROR = "solver-error"
 
+# why a run ended failed
+EXHAUSTED = "exhausted"  # the scanned vertex has all four anchors marked bad
+NO_ADMISSIBLE = "no-admissible"  # a full cyclic pass found nothing to try
+BUDGET = "budget"  # the next solve would exceed max_solves
+
 
 class SolverError(RuntimeError):
     """A cost SDP solve ended neither optimal nor inaccurate."""
@@ -67,6 +73,8 @@ class HeuristicOutcome:
     final_rank: int
     solve_count: int
     log: tuple
+    cause: str | None = None  # EXHAUSTED, NO_ADMISSIBLE or BUDGET when failed
+    cause_vertex: int = 0  # the exhausted vertex; 0 for any other cause
 
     @property
     def colored_vertices(self) -> frozenset:
@@ -166,10 +174,11 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
             return None
         return coloring
 
-    def finish(status, x, rank, coloring=None):
+    def finish(status, x, rank, coloring=None, cause=None, cause_vertex=0):
         classes = classes_from(x)
         class_tuple = tuple(tuple(classes[a]) for a in anchors)
-        return HeuristicOutcome(status, coloring, class_tuple, rank, solves, tuple(log))
+        return HeuristicOutcome(status, coloring, class_tuple, rank, solves, tuple(log),
+                                cause, cause_vertex)
 
     def run_solver():
         nonlocal solves
@@ -209,7 +218,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                 v = scan
                 if v not in covered:
                     if all(a in badcolors for a in anchors):
-                        return finish(FAILED, x, rank_p)  # vertex exhausted
+                        return finish(FAILED, x, rank_p, cause=EXHAUSTED, cause_vertex=v)
                     for q, a in enumerate(anchors, start=1):
                         if a in badcolors:
                             continue
@@ -225,7 +234,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                 scan = scan % n + 1
                 badcolors.clear()
             if found is None:
-                return finish(FAILED, x, rank_p)  # full pass, nothing admissible
+                return finish(FAILED, x, rank_p, cause=NO_ADMISSIBLE)
 
             v, q = found
             anchor = anchors[q - 1]
@@ -253,7 +262,7 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     except SolverError:
         return finish(SOLVER_ERROR, x, rank_p)
     except _BudgetExceeded:
-        return finish(FAILED, x, rank_p)
+        return finish(FAILED, x, rank_p, cause=BUDGET)
 
     # the reference Gram matrix of a coloring with all four colors has rank 3
     return finish(COLORED, x, PALETTE - 1, coloring)

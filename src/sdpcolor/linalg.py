@@ -12,8 +12,8 @@ DEFAULT_RANK_TAU = 1e-6
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of a (averaging is commutative entrywise)."""
-    a = np.asarray(a, dtype=float)
+    """Exactly symmetric copy of the float array a (averaging is commutative
+    entrywise)."""
     return (a + a.T) / 2.0
 
 

@@ -23,16 +23,15 @@ follows from the problem itself:
 
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
-the dense m x m Schur complement each iteration. The per-iteration kernels are
-direct LAPACK calls. The Schur matrix is factored by dpotrf and solved by
-dpotrs; when dpotrf finds a leading minor that is not positive definite (the
-matrix turns numerically singular near some optima), a jittered LU
-(dgetrf/dgetrs) takes over for that iteration, and the solution counts it in
-lu_steps. A step length to the PSD boundary is -1/lambda_min of the pencil
-(dP, P), P = X or S, from one dsygv call (Cholesky of P, reduction,
-eigenvalues); when P's Cholesky fails, an eigh of P gives the eigenvalues
-instead. It is deterministic. It assumes independent constraints and a
-feasible set with an interior: when the interior is empty, steps shrink
+the dense m x m Schur complement each iteration by direct LAPACK calls:
+dpotrf/dpotrs, whose solution is used as it is, or, when dpotrf finds a
+leading minor that is not positive definite (near some optima the matrix
+turns numerically singular), a jittered LU (dgetrf/dgetrs), whose solutions
+alone are iteratively refined; lu_steps counts those iterations. A step
+length to the PSD boundary is -1/lambda_min of the pencil (dP, P), P = X or
+S, from one dsygv call; when P's Cholesky fails, an eigh of P gives the
+eigenvalues instead. It is deterministic. It assumes independent constraints
+and a feasible set with an interior: when the interior is empty, steps shrink
 toward the boundary and the solve can run to the iteration cap. Give such a
 problem the FaceMap of the face that holds its feasible set, as
 formulations.clique_face does for the cost SDP.
@@ -98,16 +97,9 @@ class SdpProblem:
         require_symmetric(self.objective)
         if self.objective.shape != (self.dim, self.dim):
             raise ValueError("objective dimension mismatch")
-        if not self.constraints:
-            raise ValueError("at least one constraint required")
-        for entries, _ in self.constraints:
-            if not entries:
-                raise ValueError("constraint without entries")
-            if any(not 0 <= r <= c < self.dim for r, c, _ in entries):
-                raise ValueError("constraint entry outside the upper triangle")
-        face = self.face
-        if face is not None and (face.basis.shape[0] != self.dim
-                                 or face.b.size != len(self.constraints)):
+        if self.face is None:
+            _check_constraints(self.constraints, self.dim)
+        elif self.face.basis.shape[0] != self.dim or self.face.constraints != self.constraints:
             raise ValueError("face does not match the problem's dimension and constraints")
 
     @classmethod
@@ -119,6 +111,16 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return len(self.constraints)
+
+
+def _check_constraints(constraints, dim: int) -> None:
+    """ValueError unless each constraint has distinct upper-triangle cells, at least one."""
+    if not constraints:
+        raise ValueError("at least one constraint required")
+    for entries, _ in constraints:
+        cells = {(r, c) for r, c, _ in entries if 0 <= r <= c < dim}
+        if not entries or len(cells) < len(entries):
+            raise ValueError(f"constraint {entries}: not distinct upper-triangle cells")
 
 
 def _flat_entries(constraints) -> tuple:
@@ -211,15 +213,16 @@ class FaceMap(_Operator):
     Row i of rows is vec(V^T A_i V), of length d^2 for V's d columns (V has
     orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
     matrix, and the Schur matrix tr(A_i W A_j T) is the product of the stacked
-    A_i W with the stacked T A_j. The Gram factor is computed once, so every
-    problem on this face shares it.
+    A_i W with the stacked T A_j. The constraints are checked, and the Gram
+    factor computed, once, so every problem on this face shares both.
     """
 
     def __init__(self, basis: np.ndarray, constraints: tuple):
         n, d = basis.shape
+        _check_constraints(constraints, n)
         row, p, q, coef = _flat_entries(constraints)
         a = np.zeros((len(constraints), n, n))
-        np.add.at(a, (row, p, q), coef)
+        a[row, p, q] = coef  # _check_constraints: each (constraint, cell) pair is distinct
         a = basis.T @ a @ basis
         rows = ((a + a.transpose(0, 2, 1)) / 2.0).reshape(-1, d * d)  # exactly symmetric
         _, r, piv = qr(rows @ rows.T, pivoting=True)
@@ -269,7 +272,7 @@ class SdpSolution:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+    return float((a * b).sum())
 
 
 def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
@@ -295,40 +298,36 @@ def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
 
 
 class _Factor:
-    """Factor a symmetric positive definite system once; solve with refinement.
+    """Factor a symmetric positive definite system once; solve it.
 
-    LAPACK's dpotrf/dpotrs, called directly; when dpotrf reports a leading
-    minor that is not positive definite, a jittered LU (dgetrf/dgetrs). Up to
-    two steps of iterative refinement recover most of the accuracy lost to the
-    Schur complement's growing condition number near convergence; refinement
-    stops once the residual h - M x is at roundoff level, eps (||M|| ||x|| +
-    ||h||) in the max norm with ||M|| the max row sum, where a further step
-    only adds noise.
+    LAPACK's dpotrf/dpotrs, called directly; Cholesky is backward stable, so
+    its solution is returned as it is. When dpotrf reports a leading minor that
+    is not positive definite, a jittered LU (dgetrf/dgetrs) takes over, and up
+    to two steps of iterative refinement against the unjittered matrix follow,
+    stopping once the residual h - M x is at roundoff level, eps (||M|| ||x|| +
+    ||h||) in the max norm with ||M|| the max row sum.
     """
 
     def __init__(self, mat: np.ndarray):
-        self.mat = mat
-        self._norm = np.abs(mat).sum(axis=1).max()
         self._cho, info = lapack.dpotrf(mat, lower=1, clean=0)
         if info != 0:
             self._cho = None
+            self._mat = mat
+            self._norm = np.abs(mat).sum(axis=1).max()
             jitter = 1e-12 * (1.0 + float(np.trace(mat)) / mat.shape[0])
             self._lu, self._piv, _ = lapack.dgetrf(mat + jitter * np.eye(mat.shape[0]))
 
-    def _apply(self, h: np.ndarray) -> np.ndarray:
+    def solve(self, h: np.ndarray) -> np.ndarray:
         if self._cho is not None:
             return lapack.dpotrs(self._cho, h, lower=1)[0]
-        return lapack.dgetrs(self._lu, self._piv, h)[0]
-
-    def solve(self, h: np.ndarray) -> np.ndarray:
-        x = self._apply(h)
+        x = lapack.dgetrs(self._lu, self._piv, h)[0]
         h_max = np.abs(h).max()
         for _ in range(_REFINE_STEPS):
-            r = h - self.mat @ x
+            r = h - self._mat @ x
             # written so that a NaN residual also stops refining
             if not np.abs(r).max() > _EPS * (self._norm * np.abs(x).max() + h_max):
                 break
-            x = x + self._apply(r)
+            x = x + lapack.dgetrs(self._lu, self._piv, r)[0]
         return x
 
 
@@ -385,7 +384,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         c = symmetrize(v.T @ problem.objective @ v)
     b = ops.b
     ell = ops.order
-    res_scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(c)))
+    res_scale = 1.0 + float(np.abs(b).max()) + float(np.abs(c).max())
 
     eye = np.eye(ell)
     x = res_scale * eye
@@ -406,8 +405,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         rd = c - s - ops.scatter(y)
         pobj = _inner(c, x)
         dobj = float(b @ y)
-        rel_p = float(np.max(np.abs(rp))) / res_scale
-        rel_d = float(np.max(np.abs(rd))) / res_scale
+        rel_p = float(np.abs(rp).max()) / res_scale
+        rel_d = float(np.abs(rd).max()) / res_scale
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         return rp, rd, pobj, dobj, rel_p, rel_d, rel_gap
 
@@ -435,14 +434,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
             lu_steps += schur._cho is None
 
             xs = x @ s
+            xrd = x @ rd
             mu = _inner(x, s) / ell
 
             def direction(rc):
-                g = (rc - x @ rd) @ s_inv
+                g = (rc - xrd) @ s_inv
                 dy = schur.solve(rp - ops.gather(g))
                 ds = symmetrize(rd - ops.scatter(dy))
                 dx = symmetrize((rc - x @ ds) @ s_inv)
-                if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))):
+                if not (np.isfinite(dx).all() and np.isfinite(ds).all()):
                     raise np.linalg.LinAlgError("non-finite search direction")
                 return ops.restore(dx, rp), dy, ds
 

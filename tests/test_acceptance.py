@@ -207,23 +207,23 @@ def test_criterion_7_independent_cost(corpora):
 
 def test_criterion_8_table_replication():
     start = time.perf_counter()
-    expected = {5: 1, 6: 1, 7: 4, 8: 12, 9: 45, 10: 222}
+    expected = {5: 1, 6: 1, 7: 4, 8: 12, 9: 45, 10: 222, 11: 1219}
     counts = {}
     failures = {}
     for algo in (1, 2):
-        for n in range(5, 11):
+        for n in expected:
             rep = run_batch(fixture_text(corpus_name(n)), algo, jobs=4)
             counts[(algo, n)] = len(rep.rows)
             failures[(algo, n)] = rep.failure_count
     elapsed = time.perf_counter() - start
     for algo in (1, 2):
-        got = tuple(counts[(algo, n)] for n in range(5, 11))
+        got = tuple(counts[(algo, n)] for n in expected)
         assert got == tuple(expected.values()), f"algo {algo} counts {got}"
-        bad = sum(failures[(algo, n)] for n in range(5, 11))
+        bad = sum(failures[(algo, n)] for n in expected)
         assert bad == 0, f"algo {algo} failures {failures}"
     assert elapsed < 7200.0
-    report("criterion 8 (experiment table, n=5..10)", True,
-           f"counts (1,1,4,12,45,222), zero failures, {elapsed:.0f}s with 4 workers")
+    report("criterion 8 (experiment table, n=5..11)", True,
+           f"counts (1,1,4,12,45,222,1219), zero failures, {elapsed:.0f}s with 4 workers")
 
 
 def test_criterion_9_fixture_behaviors():

@@ -5,7 +5,7 @@ import pytest
 from sdpcolor.batch import BatchReport, emit_report, run_batch
 from sdpcolor.cli import cli_main
 from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text
-from sdpcolor.graphs import parse_edge_list
+from sdpcolor.graphs import GraphParseError, parse_edge_list
 
 
 class TestExitCodes:
@@ -22,7 +22,8 @@ class TestExitCodes:
         code = cli_main(["color", "--algo", "1", "--graph", fixture_path("fig3.edges")])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAILED" in out
+        assert out.splitlines()[-1] == (
+            "FAILED solves=22 colored=[1, 2, 5, 6, 7] cause=exhausted vertex=9")
 
     def test_color_success_exit_zero(self, capsys):
         code = cli_main(["color", "--algo", "2", "--graph", fixture_path("fig4.edges")])
@@ -154,11 +155,31 @@ class TestBatchCommand:
             with pytest.raises(ValueError):
                 run_batch(**args)
 
-    def test_long_mode_guard(self):
+    def test_long_mode_guard(self, tmp_path):
         # fabricate a 12-vertex corpus line: n > 11 requires long_mode
-        text = "12 bcdefghijkl,a,a,a,a,a,a,a,a,a,a,a"
-        with pytest.raises(ValueError):
-            run_batch(text, 1)
+        line = "12 bcdefghijkl,a,a,a,a,a,a,a,a,a,a,a"
+        ck = tmp_path / "progress"
+        for text in (line, fixture_text(corpus_name(7)) + line):
+            with pytest.raises(ValueError):
+                run_batch(text, 1, checkpoint=str(ck))
+            assert not ck.exists()  # refused before anything ran
+
+    def test_parse_error_on_last_line_raises_before_any_run(self, tmp_path):
+        ck = tmp_path / "progress"
+        with pytest.raises(GraphParseError):
+            run_batch(fixture_text(corpus_name(7)) + "3 bc,ac,az\n", 1, checkpoint=str(ck))
+        assert not ck.exists()
+
+    def test_pool_keeps_every_row_in_file_order(self):
+        # under a pool, the rows of graphs without a K_4 are made by the
+        # pool's feeder thread as it draws the tasks
+        text = fixture_text(corpus_name(7))
+        serial = run_batch(text, 1, filter_k4=False)
+        pooled = run_batch(text, 1, filter_k4=False, jobs=2)
+        assert [r.index for r in pooled.rows] == list(range(5))
+        assert [(r.index, r.has_k4, r.status, r.solves) for r in pooled.rows] == [
+            (r.index, r.has_k4, r.status, r.solves) for r in serial.rows
+        ]
 
     def test_deterministic_reports(self):
         text = fixture_text(corpus_name(7))

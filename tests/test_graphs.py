@@ -17,6 +17,7 @@ from sdpcolor.graphs import (
     find_clique,
     generate_ktree,
     is_ktree,
+    iter_plantri_ascii,
     parse_edge_list,
     parse_plantri_ascii,
     plantri_line,
@@ -42,6 +43,13 @@ class TestPlantriParsing:
         text = "3 bc,ac,ab\n5 bcd,acde,abde,abce,abcd"
         with pytest.raises(GraphParseError) as err:
             parse_plantri_ascii(text)
+        assert "line 2" in str(err.value)
+
+    def test_lines_are_parsed_as_they_are_drawn(self):
+        graphs = iter_plantri_ascii(iter(["3 bc,ac,ab", "3 bc,ac,az"]))
+        assert next(graphs).n == 3  # the bad second line is not read yet
+        with pytest.raises(GraphParseError) as err:
+            next(graphs)
         assert "line 2" in str(err.value)
 
     def test_bad_letter(self):

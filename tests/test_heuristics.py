@@ -8,7 +8,9 @@ from conftest import complete_graph, path_graph
 from sdpcolor.formulations import clique_face
 from sdpcolor.graphs import enumerate_cliques, parse_plantri_ascii, validate_coloring
 from sdpcolor.heuristics import (
+    BUDGET,
     COLORED,
+    EXHAUSTED,
     FAILED,
     HeuristicOutcome,
     finalize_certificate,
@@ -81,6 +83,8 @@ class TestHeuristicRuns:
         out = heuristic1(fig3)
         assert out.status == FAILED
         assert out.colored_vertices == {1, 2, 5, 6, 7}
+        # the scan reaches vertex 9 with all four anchors ruled out for it
+        assert (out.cause, out.cause_vertex) == (EXHAUSTED, 9)
 
     def test_fig4_colored(self, fig4):
         out = heuristic1(fig4)
@@ -139,9 +143,16 @@ class TestHeuristicRuns:
             heuristic1(path_graph(4))
 
     def test_budget_exhaustion_reports_failed(self, fig3):
-        out = heuristic1(fig3, max_solves=2)
-        assert out.status == FAILED
-        assert out.solve_count == 2
+        for budget in (1, 2):
+            out = heuristic1(fig3, max_solves=budget)
+            assert out.status == FAILED
+            assert out.solve_count == budget
+            assert (out.cause, out.cause_vertex) == (BUDGET, 0)
+
+    def test_colored_run_carries_no_cause(self, fig4):
+        out = heuristic1(fig4)
+        assert out.status == COLORED
+        assert (out.cause, out.cause_vertex) == (None, 0)
 
     def test_budget_below_one_rejected(self, fig3):
         for runner in (heuristic1, heuristic2):

@@ -33,6 +33,7 @@ from sdpcolor.sdp import (
     OPTIMAL,
     _SCHUR_BLOCK,
     ConstraintMap,
+    FaceMap,
     SdpProblem,
     _Factor,
     _max_step,
@@ -319,6 +320,10 @@ class TestSdpProblem:
             SdpProblem.build(2, np.eye(2), [])
         with pytest.raises(ValueError):
             SdpProblem.build(2, np.eye(2), [([(2, 2, 1.0)], 1.0)])
+        with pytest.raises(ValueError):  # a cell listed twice in one constraint
+            SdpProblem.build(2, np.eye(2), [([(0, 1, 1.0), (0, 1, 2.0)], 1.0)])
+        with pytest.raises(ValueError):  # a face checks the constraints it is given
+            FaceMap(np.eye(2), ((((1, 0, 1.0),), 1.0),))  # r > c
 
 
 def random_pd(rng, dim):
@@ -360,13 +365,17 @@ class TestKernels:
 
     def test_factor_solves_spd_system_by_cholesky(self):
         rng = np.random.default_rng(19)
-        for dim in (1, 5, 40):
-            mat = random_pd(rng, dim)
-            h = rng.normal(size=dim)
-            factor = _Factor(mat)
-            assert factor._cho is not None
-            ref = np.linalg.solve(mat, h)
-            assert np.max(np.abs(factor.solve(h) - ref)) <= 1e-10 * np.max(np.abs(ref))
+        for dim in (1, 5, 40, 200):
+            q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            for mat in (random_pd(rng, dim), symmetrize(q @ q.T)):  # q q^T: I + roundoff
+                h = rng.normal(size=dim)
+                factor = _Factor(mat)
+                assert factor._cho is not None
+                ref = np.linalg.solve(mat, h)
+                assert np.max(np.abs(factor.solve(h) - ref)) <= 1e-10 * np.max(np.abs(ref))
+                # Cholesky is backward stable: the solve is one dpotrs, unrefined
+                cho = lapack.dpotrf(mat, lower=1, clean=0)[0]
+                assert np.array_equal(factor.solve(h), lapack.dpotrs(cho, h, lower=1)[0]), dim
 
     def test_factor_solves_singular_psd_system_by_lu(self):
         rng = np.random.default_rng(20)

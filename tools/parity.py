@@ -19,7 +19,7 @@ Usage: python tools/parity.py [--corpus FILE]... [--figure NAME]...
 
 A corpus FILE is a plantri-ascii path or the name of a shipped corpus
 (planar_n10.txt). With no arguments it prints the standard set: both heuristics on
-every shipped corpus (n = 5..10) and on fig3, fig4 and fig5, certify_cost on
+every shipped corpus (n = 5..11) and on fig3, fig4 and fig5, certify_cost on
 planar_n10.txt, the certify_ktree triples and the four SVCN solves.
 """
 
@@ -35,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sdpcolor.certificates import certify_cost, certify_ktree  # noqa: E402
 from sdpcolor.fixtures import CORPUS_RANGE, corpus_name, fixture_text, load_figure  # noqa: E402
 from sdpcolor.formulations import solve_svcn  # noqa: E402
-from sdpcolor.graphs import chromatic_oracle, find_clique, generate_ktree, parse_plantri_ascii  # noqa: E402
+from sdpcolor.graphs import chromatic_oracle, find_clique, generate_ktree, iter_plantri_ascii  # noqa: E402
 from sdpcolor.heuristics import format_log, heuristic1, heuristic2  # noqa: E402
 
 CRITERION3_SEED = 20240811
@@ -43,17 +43,16 @@ FIGURES = ("fig3", "fig4", "fig5")
 SVCN_TREE_SIZES = (60, 80, 100)
 
 
-def load_corpus_file(name: str) -> list:
+def k4_graphs(name: str):
+    """(label, graph) for every graph of the corpus that has a K_4, by corpus index.
+
+    The graphs are parsed as they are drawn, so the corpus is never held as graphs.
+    """
     path = Path(name)
     text = path.read_text() if path.is_file() else fixture_text(name)
-    return parse_plantri_ascii(text)
-
-
-def k4_graphs(name: str):
-    """(label, graph) for every graph of the corpus that has a K_4, by corpus index."""
-    for index, g in enumerate(load_corpus_file(name)):
+    for index, g in enumerate(iter_plantri_ascii(text.splitlines())):
         if find_clique(g, 4) is not None:
-            yield f"{Path(name).name}#{index}", g
+            yield f"{path.name}#{index}", g
 
 
 def print_runs(label: str, g) -> None:
