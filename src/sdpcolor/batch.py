@@ -118,10 +118,10 @@ def run_batch(corpus_text: str, algo: int, filter_k4: bool = True,
     counts cover only graphs with one); otherwise they appear with status
     "no-k4". Row order follows file order regardless of the worker pool, so
     reports are deterministic. Corpora containing graphs with more than 11
-    vertices are refused unless long_mode is set. The corpus is parsed once
-    whole, so a malformed line or a refused graph raises before any run, and
-    then again lazily: graphs and their tasks are built as the runs draw them,
-    so no more than a few are held at a time.
+    vertices are refused unless long_mode is set. The corpus is parsed twice:
+    a first pass checks every line, so a malformed line or a refused graph
+    raises before any run, and the second builds each graph and its task only
+    as the runs draw them, so the corpus is never held as graphs.
 
     A checkpoint file starts with a header naming algo, max_solves and the
     corpus's sha256, then holds one line "index status solves seconds" per

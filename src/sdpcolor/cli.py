@@ -114,11 +114,9 @@ def _cmd_color(args) -> int:
             print(report.to_text())
             return 0 if report.verdict else 1
         return 0
-    cause = ""
-    if outcome.cause is not None:
-        cause = f" cause={outcome.cause}"
-        if outcome.cause_vertex:
-            cause += f" vertex={outcome.cause_vertex}"
+    cause = f" cause={outcome.cause}" if outcome.cause else ""
+    if outcome.cause_vertex:
+        cause += f" vertex={outcome.cause_vertex}"
     print(f"{outcome.status.upper()} solves={outcome.solve_count}"
           f" colored={sorted(outcome.colored_vertices)}{cause}")
     return 1
