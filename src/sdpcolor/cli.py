@@ -124,15 +124,8 @@ def _cmd_color(args) -> int:
 
 def _cmd_batch(args) -> int:
     text = Path(args.corpus).read_text()
-    report = run_batch(
-        text,
-        args.algo,
-        filter_k4=not args.all_graphs,
-        jobs=args.jobs,
-        long_mode=args.long,
-        max_solves=args.budget,
-        checkpoint=args.checkpoint,
-    )
+    report = run_batch(text, args.algo, jobs=args.jobs, max_solves=args.budget,
+                       checkpoint=args.checkpoint)
     sys.stdout.write(emit_report(report, args.format))
     return 0 if report.failure_count == 0 else 1
 
@@ -230,12 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", type=int, choices=(1, 2), required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--long", action="store_true",
-                   help="allow corpora with more than 11 vertices")
     p.add_argument("--budget", type=int, help="per-graph solve budget")
     p.add_argument("--checkpoint", help="resumable progress file")
-    p.add_argument("--all-graphs", action="store_true",
-                   help="also run graphs without a K_4")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("oracle", help="exact chromatic number by backtracking")

@@ -222,10 +222,8 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                     for q, a in enumerate(anchors, start=1):
                         if a in badcolors:
                             continue
-                        val = x[v - 1, a - 1]
-                        if abs(val - 1.0) <= ALIGN_TOL:
-                            continue
-                        if abs(val + 1.0 / 3.0) <= ALIGN_TOL:
+                        # v is not covered, so it is aligned with no anchor
+                        if abs(x[v - 1, a - 1] + 1.0 / 3.0) <= ALIGN_TOL:
                             continue
                         found = (v, q)
                         break

@@ -38,17 +38,15 @@ formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate; an iterate passes a tolerance when all three are within it.
-The loop has four exits; the status and the iteration count name the one
+The loop has three exits; the status and the iteration count name the one
 that fired:
 
 - optimal: the window at DEFAULT_TOL closed; the solve returns the passing
   iterate with the smallest X . S of the first one that passes and the
   iterate after it;
-- the DEFAULT_MAX_ITER cap, or the drift stop before it: for 8 iterates in
-  a row the merit, the largest of the three measures, stayed above 100 times
-  its best value so far, once that best was below 1e-4. Both return
-  inaccurate, the same choice from the window at 10 * DEFAULT_TOL when any
-  iterate passed it, or else max-iterations, the last iterate;
+- the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
+  from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
+  max-iterations, the last iterate;
 - numerical-failure: S could not be inverted or a search direction was not
   finite; the solve returns the iterate that step started from.
 """
@@ -394,8 +392,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     status = MAX_ITERATIONS
     iterations = 0
     lu_steps = 0
-    best_merit = np.inf
-    diverging = 0
     gamma = _GAMMA_FLOOR
     strict = _Window(DEFAULT_TOL)
     relaxed = _Window(_RELAXED * DEFAULT_TOL)
@@ -420,12 +416,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
             x, y, s = strict.iterate
             status = OPTIMAL
             break
-        merit = max(rel_p, rel_d, rel_gap)
-        best_merit = min(best_merit, merit)
-        drifting = best_merit < 1e-4 and merit > 100.0 * best_merit
-        diverging = diverging + 1 if drifting else 0
-        if diverging >= 8:
-            break  # drifting on roundoff noise; returns as at the cap
         iterations = it
 
         try:

@@ -39,7 +39,7 @@ from sdpcolor.graphs import (
     generate_ktree,
     is_ktree,
 )
-from sdpcolor.heuristics import COLORED, FAILED, heuristic1, heuristic2
+from sdpcolor.heuristics import COLORED, EXHAUSTED, FAILED, heuristic1, heuristic2
 from sdpcolor.linalg import min_eigenvalue, numerical_rank
 from sdpcolor.sdp import OPTIMAL, solve
 from test_sdp import diagonal_lp_instance
@@ -233,14 +233,15 @@ def test_criterion_9_fixture_behaviors():
         out = runner(fig3)
         assert out.status == FAILED, f"{runner.__name__} on fig3: {out.status}"
         assert out.colored_vertices == {1, 2, 5, 6, 7}, out.colored_vertices
-        details.append(f"{runner.__name__} fig3 failed after vertex 1")
+        assert (out.cause, out.cause_vertex) == (EXHAUSTED, 9), (out.cause, out.cause_vertex)
+        details.append(f"{runner.__name__} fig3 failed exhausted at vertex 9")
     for name in ("fig4", "fig5"):
         g = load_figure(name)
         for runner in (heuristic1, heuristic2):
             out = runner(g)
             assert out.status == COLORED, f"{runner.__name__} on {name}"
     report("criterion 9 (obstacle and Kempe fixtures)", True,
-           "fig3 fails at vertex 1; fig4 and fig5 color with both heuristics")
+           "fig3 fails exhausted at vertex 9; fig4 and fig5 color with both heuristics")
 
 
 def test_criterion_10_solver_properties():

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from sdpcolor.batch import BatchReport, emit_report, run_batch
-from sdpcolor.cli import cli_main
-from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text
-from sdpcolor.graphs import GraphParseError, parse_edge_list
+from sdpcolor.cli import build_parser, cli_main
+from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text, load_corpus, load_figure
+from sdpcolor.graphs import GraphParseError, find_clique, parse_edge_list, plantri_line
+from sdpcolor.heuristics import EXHAUSTED, FAILED
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestExitCodes:
@@ -135,15 +144,25 @@ class TestBatchCommand:
         ck = tmp_path / "progress"
         first = run_batch(text, 1, checkpoint=str(ck))
         header, *lines = ck.read_text().splitlines()
-        kept = [f"{r.index} {r.status} 99 12.5" for r in first.rows[:2]]
-        ck.write_text("\n".join([header, *kept, lines[2][:3]]))
+        ck.write_text("\n".join([header, *lines[:2], lines[2][:3]]))
         resumed = run_batch(text, 1, checkpoint=str(ck))
-        assert [(r.solves, r.seconds) for r in resumed.rows[:2]] == [(99, 12.5)] * 2
-        assert [(r.index, r.status, r.solves) for r in resumed.rows[2:]] == [
-            (r.index, r.status, r.solves) for r in first.rows[2:]
+        # the stored rows come back as written, seconds included; a rerun
+        # would time them anew
+        assert resumed.rows[:2] == first.rows[:2]
+        assert [replace(r, seconds=0.0) for r in resumed.rows[2:]] == [
+            replace(r, seconds=0.0) for r in first.rows[2:]
         ]
-        rerun = [f"{r.index} {r.status} {r.solves} {r.seconds!r}" for r in resumed.rows[2:]]
-        assert ck.read_text().splitlines() == [header, *kept, *rerun]
+        rerun = [r.to_csv() for r in resumed.rows[2:]]
+        assert ck.read_text().splitlines() == [header, *lines[:2], *rerun]
+
+    def test_checkpoint_lines_are_the_csv_rows(self, tmp_path):
+        text = fixture_text(corpus_name(8))
+        ck = tmp_path / "progress"
+        report = run_batch(text, 2, checkpoint=str(ck))
+        header, *body = ck.read_text().splitlines()
+        columns, *rows = emit_report(report, "csv").splitlines()
+        assert body == rows
+        assert header.endswith(f" columns={columns}")
 
     def test_checkpoint_header_mismatch(self, tmp_path):
         text = fixture_text(corpus_name(5))
@@ -155,14 +174,16 @@ class TestBatchCommand:
             with pytest.raises(ValueError):
                 run_batch(**args)
 
-    def test_long_mode_guard(self, tmp_path):
-        # fabricate a 12-vertex corpus line: n > 11 requires long_mode
-        line = "12 bcdefghijkl,a,a,a,a,a,a,a,a,a,a,a"
+    def test_checkpoint_in_the_old_format_refused_and_kept(self, tmp_path):
+        # a checkpoint whose header names no columns, with a space-separated row
+        text = fixture_text(corpus_name(5))
+        digest = hashlib.sha256(text.encode()).hexdigest()
         ck = tmp_path / "progress"
-        for text in (line, fixture_text(corpus_name(7)) + line):
-            with pytest.raises(ValueError):
-                run_batch(text, 1, checkpoint=str(ck))
-            assert not ck.exists()  # refused before anything ran
+        old = f"sdpcolor-batch algo=1 budget=none corpus={digest}\n0 colored 1 0.01\n"
+        ck.write_text(old)
+        with pytest.raises(ValueError):
+            run_batch(text, 1, checkpoint=str(ck))
+        assert ck.read_text() == old
 
     def test_parse_error_on_last_line_raises_before_any_run(self, tmp_path):
         ck = tmp_path / "progress"
@@ -171,15 +192,22 @@ class TestBatchCommand:
         assert not ck.exists()
 
     def test_pool_keeps_every_row_in_file_order(self):
-        # under a pool, the rows of graphs without a K_4 are made by the
-        # pool's feeder thread as it draws the tasks
-        text = fixture_text(corpus_name(7))
-        serial = run_batch(text, 1, filter_k4=False)
-        pooled = run_batch(text, 1, filter_k4=False, jobs=2)
-        assert [r.index for r in pooled.rows] == list(range(5))
-        assert [(r.index, r.has_k4, r.status, r.solves) for r in pooled.rows] == [
-            (r.index, r.has_k4, r.status, r.solves) for r in serial.rows
+        # two of the 14 graphs have no K_4: their workers return no row
+        text = fixture_text(corpus_name(8))
+        serial = run_batch(text, 1)
+        pooled = run_batch(text, 1, jobs=2)
+        with_k4 = [i for i, g in enumerate(load_corpus(8)) if find_clique(g, 4)]
+        assert len(with_k4) == 12
+        assert [r.index for r in pooled.rows] == with_k4
+        assert [replace(r, seconds=0.0) for r in pooled.rows] == [
+            replace(r, seconds=0.0) for r in serial.rows
         ]
+
+    def test_failed_row_names_its_cause(self):
+        # fig3 has 12 vertices: larger graphs need no opt-in
+        (row,) = run_batch(plantri_line(load_figure("fig3")), 1).rows
+        assert (row.n, row.status, row.solves) == (12, FAILED, 22)
+        assert (row.cause, row.cause_vertex) == (EXHAUSTED, 9)
 
     def test_deterministic_reports(self):
         text = fixture_text(corpus_name(7))
@@ -192,7 +220,7 @@ class TestBatchCommand:
 
 class TestEmitReport:
     def test_empty_report_header_only(self):
-        report = BatchReport(1, True, ())
+        report = BatchReport(1, ())
         text = emit_report(report, "text")
         assert len(text.strip().splitlines()) == 1
 
@@ -200,12 +228,14 @@ class TestEmitReport:
         text = fixture_text(corpus_name(5))
         report = run_batch(text, 1)
         csv = emit_report(report, "csv")
-        assert csv.splitlines()[0] == "index,n,has_k4,algo,status,solves,seconds"
-        assert "colored" in csv
+        assert csv.splitlines() == [
+            "index,n,algo,status,solves,seconds,cause,cause_vertex",
+            f"0,5,1,colored,1,{report.rows[0].seconds!r},,0",
+        ]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            emit_report(BatchReport(1, True, ()), "xml")
+            emit_report(BatchReport(1, ()), "xml")
 
     def test_aggregates_match_rows(self):
         text = fixture_text(corpus_name(8))
@@ -213,3 +243,26 @@ class TestEmitReport:
         agg = report.aggregates()
         assert sum(g for _, g, _, _ in agg) == len(report.rows)
         assert sum(f for _, _, f, _ in agg) == report.failure_count
+
+
+def readme_commands() -> list:
+    """The arguments of every `sdpcolor` command line in README.md's code blocks."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["sdpcolor"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: sdpcolor {shlex.join(argv)}")

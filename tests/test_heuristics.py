@@ -79,7 +79,7 @@ class TestHeuristicRuns:
             frozenset({v}) for v in range(1, 5)
         )
 
-    def test_fig3_fails_with_vertex_one_only(self, fig3):
+    def test_fig3_fails_exhausted_at_vertex_nine(self, fig3):
         out = heuristic1(fig3)
         assert out.status == FAILED
         assert out.colored_vertices == {1, 2, 5, 6, 7}

@@ -183,20 +183,18 @@ class TestSolverProperties:
         assert gap <= 10 * DEFAULT_TOL
         assert certify_cost(g, coloring).verdict
 
-    def test_drift_stop_ends_face_solve_before_the_cap(self):
+    def test_face_solve_past_its_best_merit_ends_optimal(self):
         # Heuristic 2's third cost solve on graph #24250 (0-based) of the
         # generated n = 13 corpus: past its best merit (7.2e-8) the residuals
-        # drift 100-fold, and the drift stop returns the iterate of the window
-        # at 10 * DEFAULT_TOL as inaccurate after 20 iterations. Run on, the
-        # solve would end optimal after 26, with another logged rank.
+        # drift 100-fold for a while, then the solve runs on to optimal.
         line = "13 bdfhjklm,aceghiklm,bdefh,acefik,bcdgi,acdh,bei,abcfjl,bdegk,ahl,abdim,abhj,abk"
         g = parse_plantri_ascii(line)[0]
         cost = np.zeros((g.n, g.n))
         for i, j in ((1, 3), (2, 4)):
             cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
         sol = solve_cost(clique_face(g, 4), cost).face
-        assert sol.status == INACCURATE
-        assert sol.iterations == 20
+        assert sol.status == OPTIMAL
+        assert sol.iterations == 26
 
 
 def dense_constraints(problem):
