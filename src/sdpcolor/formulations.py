@@ -2,8 +2,10 @@
 
 The strict-vector-chromatic instance lives in dimension n+1; index 0 carries
 the shared edge value (so the objective is -z_00 and every edge forces
-z_ij = -z_00). Rank reports follow the n x n submatrix convention: row and
-column 0 are excluded.
+z_ij = -z_00). The paper's form also fixes z_0i = 0 for every vertex; those
+rows are left out, because the optimum and the solver's iterates have
+z_0i = 0 without them (build_svcn says why). Rank reports follow the n x n
+submatrix convention: row and column 0 are excluded.
 """
 
 from __future__ import annotations
@@ -23,9 +25,18 @@ DEFAULT_EXTRACT_TOL = 1e-4
 def build_svcn(g: Graph) -> SdpProblem:
     """Assemble the (n+1)-dimensional strict vector chromatic number SDP.
 
-    Constraints, in order: z_ij + z_00 = 0 per edge of g.edge_list(), z_ii = 1
-    per vertex, z_0i = 0 per vertex; m = |E| + 2n. Solving gives the strict
-    vector chromatic number as the primal objective (-z_00).
+    Constraints, in order: z_ij + z_00 = 0 per edge of g.edge_list(), then
+    z_ii = 1 per vertex; m = |E| + n. Solving gives the strict vector
+    chromatic number as the primal objective (-z_00).
+
+    The paper's z_0i = 0 rows are not built. With D = diag(-1, I), X -> DXD
+    fixes the objective and every constraint above and negates X[0, 1:], so
+    (X + DXD) / 2, which is X with row and column 0 zeroed off the diagonal,
+    is feasible, PSD and as good as X: the optimum is unchanged. The solver
+    starts from multiples of the identity, which D fixes, and every step
+    keeps that: each Schur entry coupling a z_0i row to another row has a
+    factor X_0i or (S^-1)_0i, so with the rows their multipliers are exactly
+    0, and without them X[0, 1:] and S[0, 1:] stay exactly 0.
     """
     n = g.n
     dim = n + 1
@@ -33,7 +44,6 @@ def build_svcn(g: Graph) -> SdpProblem:
     objective[0, 0] = -1.0
     constraints = [(((0, 0, 1.0), (i, j, 0.5)), 0.0) for i, j in g.edge_list()]
     constraints += [(((i, i, 1.0),), 1.0) for i in g.vertices()]
-    constraints += [(((0, i, 0.5),), 0.0) for i in g.vertices()]
     return SdpProblem.build(dim, objective, constraints)
 
 
@@ -102,12 +112,11 @@ def extract_coloring(x: np.ndarray, k: int,
             assignment[v] = len(reps)
     if len(reps) > k:
         return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            agree = assignment[i] == assignment[j]
-            close = abs(x[i, j] - 1.0) <= tol
-            if agree != close:  # inconsistent grouping
-                return None
+    labels = np.array(assignment)
+    agree = labels[:, None] == labels[None, :]
+    close = np.abs(x - 1.0) <= tol
+    if np.triu(agree != close, 1).any():  # inconsistent grouping, i < j
+        return None
     return Coloring(k, tuple(assignment))
 
 

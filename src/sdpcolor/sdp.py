@@ -10,8 +10,8 @@ follows from the problem itself:
 
 - without a face, ConstraintMap works on the entries: A(X) is a gather and
   A*(y) a scatter over them, so no constraint is a dense matrix (at n = 100 a
-  dense operator would be 494 x 10,201). The Schur matrix is G K G^T over the
-  distinct cells the entries touch (889 for those 1,182 entries), with the
+  dense operator would be 394 x 10,201). The Schur matrix is G K G^T over the
+  distinct cells the entries touch (689 for those 982 entries), with the
   cell-pair products K gathered and reduced through G in row blocks, so no
   cells x cells array is built;
 - with a face (FaceMap, basis V of d columns), the variable is restricted to

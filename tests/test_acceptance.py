@@ -228,13 +228,11 @@ def test_criterion_8_table_replication():
 
 def test_criterion_9_fixture_behaviors():
     fig3 = load_figure("fig3")
-    details = []
     for runner in (heuristic1, heuristic2):
         out = runner(fig3)
         assert out.status == FAILED, f"{runner.__name__} on fig3: {out.status}"
         assert out.colored_vertices == {1, 2, 5, 6, 7}, out.colored_vertices
         assert (out.cause, out.cause_vertex) == (EXHAUSTED, 9), (out.cause, out.cause_vertex)
-        details.append(f"{runner.__name__} fig3 failed exhausted at vertex 9")
     for name in ("fig4", "fig5"):
         g = load_figure(name)
         for runner in (heuristic1, heuristic2):

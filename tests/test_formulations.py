@@ -14,14 +14,44 @@ from sdpcolor.formulations import (
 )
 from sdpcolor.graphs import Coloring, chromatic_oracle, generate_ktree
 from sdpcolor.linalg import numerical_rank
-from sdpcolor.sdp import solve
+from sdpcolor.sdp import SdpProblem, solve
+
+
+def paper_svcn(g):
+    """The paper's SVCN form: build_svcn's constraints, then z_0i = 0 per vertex."""
+    problem = build_svcn(g)
+    corner = [(((0, i, 0.5),), 0.0) for i in g.vertices()]
+    return SdpProblem.build(problem.dim, problem.objective, list(problem.constraints) + corner)
+
+
+def pairwise_extract(x, k, tol):
+    """extract_coloring's grouping checked pair by pair, as a plain reference."""
+    n = x.shape[0]
+    if np.max(np.abs(np.diag(x) - 1.0)) > tol:
+        return None
+    reps, assignment = [], [0] * n
+    for v in range(n):
+        for color, rep in enumerate(reps, start=1):
+            if abs(x[v, rep] - 1.0) <= tol:
+                assignment[v] = color
+                break
+        else:
+            reps.append(v)
+            assignment[v] = len(reps)
+    if len(reps) > k:
+        return None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (assignment[i] == assignment[j]) != (abs(x[i, j] - 1.0) <= tol):
+                return None
+    return Coloring(k, tuple(assignment))
 
 
 class TestBuildSvcn:
     def test_constraint_count(self, fig3):
         problem = build_svcn(fig3)
         assert problem.dim == fig3.n + 1
-        assert problem.m == len(fig3.edges) + 2 * fig3.n
+        assert problem.m == len(fig3.edges) + fig3.n
 
     def test_sparse_constraints(self, fig3):
         for entries, _ in build_svcn(fig3).constraints:
@@ -36,6 +66,29 @@ class TestBuildSvcn:
         summary = solve_svcn(complete_graph(k))
         assert summary.solution.optimal
         assert abs(summary.objective - target) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["fig1", "tree30"])
+    def test_matches_paper_form(self, case, fig1):
+        # the z_0i = 0 rows of the paper's form do no work: their multipliers
+        # are exactly 0, and without them X[0, 1:] and S[0, 1:] stay exactly 0.
+        # fig1's primal optimum is not unique, so its ranks are compared, not X.
+        g = fig1 if case == "fig1" else generate_ktree(4, 30, 20240811)[0]
+        summary = solve_svcn(g)
+        paper = solve(paper_svcn(g))
+        assert summary.solution.status == paper.status
+        assert abs(summary.objective - paper.primal_obj) <= 1e-8
+        assert (summary.rank_primal, summary.rank_dual) == (
+            numerical_rank(paper.X[1:, 1:]), numerical_rank(paper.S[1:, 1:]))
+        assert np.all(paper.y[len(g.edges) + g.n:] == 0.0)
+        assert np.all(summary.solution.X[0, 1:] == 0.0)
+        assert np.all(summary.solution.S[0, 1:] == 0.0)
+        chi, coloring = chromatic_oracle(g)
+        for x in (summary.X, paper.X[1:, 1:]):
+            back = extract_coloring(x, chi)
+            if case == "fig1":  # its optimum has rank 24: no coloring to read
+                assert back is None
+            else:
+                assert back is not None and back.partition() == coloring.partition()
 
     def test_rank_sum_bounded_by_n(self):
         # submatrix rank accounting for optimal pairs
@@ -137,6 +190,29 @@ class TestExtractColoring:
         back = extract_coloring(noisy, 3, tol=1e-4)
         assert back is not None
         assert extract_coloring(noisy, 3, tol=1e-6) is None
+
+    def test_matches_pairwise_reference(self):
+        # reference-shaped matrices with a few entries set inside, at or just
+        # outside tol of 1, in one triangle or in both; tol is a power of two,
+        # so 1 +- tol is exact and lands on the boundary
+        rng = np.random.default_rng(2024)
+        tol = 2.0 ** -13
+        outcomes = set()
+        for trial in range(400):
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(2, 5))
+            colors = rng.integers(1, k + 1 + (trial % 4 == 0), size=n)
+            x = np.where(colors[:, None] == colors[None, :], 1.0, -1.0 / k)
+            for _ in range(int(rng.integers(0, 4))):
+                i, j = rng.integers(0, n, size=2)
+                factor = rng.choice([0.5, 0.999, 1.0, 1.001, 2.0])
+                x[i, j] = 1.0 + rng.choice([-1.0, 1.0]) * factor * tol
+                if rng.random() < 0.5:
+                    x[j, i] = x[i, j]
+            got = extract_coloring(x, k, tol)
+            assert got == pairwise_extract(x, k, tol)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
     def test_fig1_optimum_not_extractable(self, fig1):
         summary = solve_svcn(fig1)

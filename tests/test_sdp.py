@@ -140,8 +140,10 @@ class TestSolverProperties:
     def test_svcn_ranks_within_iteration_bound(self, fig1):
         # the post-tolerance window serves these rank counts: the first passing
         # iterate and the next one resolve them
-        tree = generate_ktree(4, 60, 20240811)[0]
-        for g, ranks, max_iterations in ((fig1, (24, 1), 13), (tree, (3, 57), 14)):
+        cases = [(fig1, (24, 1), 13)]
+        cases += [(generate_ktree(4, n, 20240811)[0], (3, n - 3), max_iterations)
+                  for n, max_iterations in ((60, 14), (80, 15), (100, 15))]
+        for g, ranks, max_iterations in cases:
             summary = solve_svcn(g, tau=1e-6)
             assert summary.solution.status == OPTIMAL
             assert (summary.rank_primal, summary.rank_dual) == ranks
