@@ -23,7 +23,7 @@ class BatchRow:
     status: str
     solves: int
     seconds: float
-    cause: str = ""  # heuristics.EXHAUSTED, NO_ADMISSIBLE or BUDGET when failed
+    cause: str = ""  # heuristics.EXHAUSTED, NO_ADMISSIBLE, CYCLE or BUDGET when failed
     cause_vertex: int = 0  # the exhausted vertex; 0 for any other cause
 
     def to_csv(self) -> str:

@@ -31,7 +31,7 @@ from .graphs import (
     parse_edge_list,
     parse_plantri_ascii,
 )
-from .heuristics import COLORED, finalize_certificate, format_log, heuristic1, heuristic2
+from .heuristics import COLORED, format_log, heuristic1, heuristic2
 from .linalg import min_eigenvalue, numerical_rank
 
 import numpy as np
@@ -110,7 +110,7 @@ def _cmd_color(args) -> int:
         print(f"COLORED solves={outcome.solve_count} rank={outcome.final_rank}")
         print(f"coloring={palette}")
         if args.certify:
-            report = finalize_certificate(g, outcome)
+            report = certify_cost(g, outcome.coloring)
             print(report.to_text())
             return 0 if report.verdict else 1
         return 0

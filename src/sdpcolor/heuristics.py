@@ -1,16 +1,23 @@
 """SDP-driven four-coloring heuristics with explicit failure semantics.
 
 Both heuristics grow color classes anchored at a K_4 by repeatedly solving the
-cost SDP: pick an unaligned vertex, bias the cost matrix toward aligning it
-with an anchor, re-solve, and keep or undo the bias depending on whether the
-alignment took. They differ only in the bias: the first chains consecutive
-class members, the second links the vertex straight to its anchor.
+cost SDP. A try picks an unaligned vertex v and an anchor, sets the cost to a
+base plus one -1 link from v, and re-solves; it is kept if v aligned with the
+anchor, and otherwise the base is restored and solved again. They differ only
+in the link: the first links v to the last member of the anchor's class on a
+base that chains consecutive members of the classes as they stand, the second
+links v straight to its anchor on the current cost.
 
-The original procedure loops forever when no vertex can be colored; here a run
-fails as soon as the scanned vertex has exhausted all four anchors or a full
-cyclic pass finds nothing admissible (every failed attempt is undone, so an
-unsuccessful full pass proves the state can never change again), or when the
-solve budget is spent. A failed outcome names which of the three ended it.
+The original procedure loops forever when no vertex can be colored; here a
+failed run names which of four causes ended it: the scanned vertex has
+exhausted all four anchors (exhausted), a full cyclic pass finds nothing
+admissible (no-admissible), the state at try selection repeats (cycle), or
+the solve budget is spent (budget). That state, taken when the scan has
+picked a try, is the cost, the scanned vertex and the anchors ruled out for
+it. The solver is deterministic and a rejected try restores the base it
+started from, so the iterate, and with it everything the run does next, is a
+function of that state: a state seen twice proves that the run repeats itself
+forever. A failed run reports the classes and rank of the iterate it kept.
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CertificateReport, certify_cost
 from .formulations import clique_face, reference_solution, solve_cost
 from .graphs import Coloring, Graph, find_clique, validate_coloring
 from .linalg import numerical_rank
@@ -49,6 +55,7 @@ SOLVER_ERROR = "solver-error"
 # why a run ended failed
 EXHAUSTED = "exhausted"  # the scanned vertex has all four anchors marked bad
 NO_ADMISSIBLE = "no-admissible"  # a full cyclic pass found nothing to try
+CYCLE = "cycle"  # the state at try selection repeated
 BUDGET = "budget"  # the next solve would exceed max_solves
 
 
@@ -73,7 +80,7 @@ class HeuristicOutcome:
     final_rank: int
     solve_count: int
     log: tuple
-    cause: str | None = None  # EXHAUSTED, NO_ADMISSIBLE or BUDGET when failed
+    cause: str | None = None  # EXHAUSTED, NO_ADMISSIBLE, CYCLE or BUDGET when failed
     cause_vertex: int = 0  # the exhausted vertex; 0 for any other cause
 
     @property
@@ -135,34 +142,39 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     face = clique_face(g, PALETTE)
     n = g.n
     budget = 4 * n * n if max_solves is None else max_solves
-    cost = np.zeros((n, n))
     log: list = []
     solves = 0
-    step = 0
 
     def aligned(x, v, a):
         return abs(x[v - 1, a - 1] - 1.0) <= ALIGN_TOL
 
     def classes_from(x):
-        cls = {a: [] for a in anchors}
+        """Per anchor, the vertices aligned with it, in vertex order."""
+        classes = {a: [] for a in anchors}
         for v in g.vertices():
             for a in anchors:
                 if aligned(x, v, a):
-                    cls[a].append(v)
+                    classes[a].append(v)
                     break
-        return cls
+        return tuple(tuple(classes[a]) for a in anchors)
+
+    def run_solver(cost):
+        """The iterate x of cost, its logged rank and its classes."""
+        nonlocal solves
+        if solves == budget:
+            raise _BudgetExceeded()
+        solves += 1
+        x, rank = solve_modified(face, cost)
+        return x, rank, classes_from(x)
 
     def record(vertex, anchor_idx, action, rank):
-        nonlocal step
-        step += 1
-        log.append(LogEntry(step, vertex, anchor_idx, action, rank))
+        log.append(LogEntry(len(log) + 1, vertex, anchor_idx, action, rank))
 
-    def colored(x):
-        """The coloring x's aligned classes give, if it ends the run (module docstring)."""
-        classes = classes_from(x)
+    def colored(cost, x, classes):
+        """The coloring the classes give, if it ends the run (module docstring)."""
         assignment = [0] * n
-        for q, a in enumerate(anchors, start=1):
-            for v in classes[a]:
+        for q, members in enumerate(classes, start=1):
+            for v in members:
                 assignment[v - 1] = q
         if 0 in assignment:
             return None
@@ -174,51 +186,43 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
             return None
         return coloring
 
-    def finish(status, x, rank, coloring=None, cause=None, cause_vertex=0):
-        classes = classes_from(x)
-        class_tuple = tuple(tuple(classes[a]) for a in anchors)
-        return HeuristicOutcome(status, coloring, class_tuple, rank, solves, tuple(log),
+    def finish(status, classes, rank, coloring=None, cause=None, cause_vertex=0):
+        return HeuristicOutcome(status, coloring, classes, rank, solves, tuple(log),
                                 cause, cause_vertex)
 
-    def run_solver():
-        nonlocal solves
-        if solves == budget:
-            raise _BudgetExceeded()
-        solves += 1
-        return solve_modified(face, cost)
-
+    cost = np.zeros((n, n))
     try:
-        x, rank_p = run_solver()
+        x, rank, classes = run_solver(cost)
     except SolverError:
-        return HeuristicOutcome(SOLVER_ERROR, None, ((), (), (), ()), -1, solves, tuple(log))
-    record(0, 0, "rebuild", rank_p)
+        return finish(SOLVER_ERROR, ((), (), (), ()), -1)
+    record(0, 0, "rebuild", rank)
 
     scan = 1
     badcolors: set = set()
-    pending = None  # (vertex, anchor index, undo thunk)
+    seen: set = set()  # states at try selection (module docstring)
+    pending = None  # (vertex, anchor index, base cost) of the try to judge
 
     try:
-        while (coloring := colored(x)) is None:
+        while (coloring := colored(cost, x, classes)) is None:
             if pending is not None:
-                v, q, undo = pending
+                v, q, base = pending
                 pending = None
                 if aligned(x, v, anchors[q - 1]):
-                    record(v, q, "accept", rank_p)
+                    record(v, q, "accept", rank)
                 else:
-                    undo()
+                    cost = base
                     badcolors.add(anchors[q - 1])
-                    x, rank_p = run_solver()
-                    record(v, q, "reject", rank_p)
+                    x, rank, classes = run_solver(cost)
+                    record(v, q, "reject", rank)
                     continue
 
-            classes = classes_from(x)
-            covered = {v for cls in classes.values() for v in cls}
+            covered = {v for members in classes for v in members}
             found = None
             for _ in range(n + 1):
                 v = scan
                 if v not in covered:
                     if all(a in badcolors for a in anchors):
-                        return finish(FAILED, x, rank_p, cause=EXHAUSTED, cause_vertex=v)
+                        return finish(FAILED, classes, rank, cause=EXHAUSTED, cause_vertex=v)
                     for q, a in enumerate(anchors, start=1):
                         if a in badcolors:
                             continue
@@ -232,50 +236,37 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                 scan = scan % n + 1
                 badcolors.clear()
             if found is None:
-                return finish(FAILED, x, rank_p, cause=NO_ADMISSIBLE)
+                return finish(FAILED, classes, rank, cause=NO_ADMISSIBLE)
 
             v, q = found
-            anchor = anchors[q - 1]
+            state = (cost.tobytes(), scan, frozenset(badcolors))
+            if state in seen:
+                return finish(FAILED, classes, rank, cause=CYCLE)
+            seen.add(state)
+            kept = (classes, rank)  # a budget stop reports these, not a rejected try's
             if chained:
-                cls = classes[anchor]
-                prev = cls[-1]
-                cls.append(v)
-                cost[:] = 0.0
-                for a in anchors:
-                    members = classes[a]
+                link = classes[q - 1][-1]
+                base = np.zeros((n, n))
+                for members in classes:
                     for r, s in zip(members, members[1:]):
-                        cost[r - 1, s - 1] = cost[s - 1, r - 1] = -1.0
-
-                def undo(v=v, prev=prev):
-                    cost[v - 1, prev - 1] = cost[prev - 1, v - 1] = 0.0
+                        base[r - 1, s - 1] = base[s - 1, r - 1] = -1.0
             else:
-                cost[v - 1, anchor - 1] = cost[anchor - 1, v - 1] = -1.0
-
-                def undo(v=v, anchor=anchor):
-                    cost[v - 1, anchor - 1] = cost[anchor - 1, v - 1] = 0.0
-
-            x, rank_p = run_solver()
-            record(v, q, "try", rank_p)
-            pending = (v, q, undo)
+                link = anchors[q - 1]
+                base = cost.copy()
+                base[v - 1, link - 1] = base[link - 1, v - 1] = 0.0
+            cost = base.copy()
+            cost[v - 1, link - 1] = cost[link - 1, v - 1] = -1.0
+            pending = (v, q, base)
+            x, rank, classes = run_solver(cost)
+            record(v, q, "try", rank)
     except SolverError:
-        return finish(SOLVER_ERROR, x, rank_p)
+        return finish(SOLVER_ERROR, classes, rank)
     except _BudgetExceeded:
-        return finish(FAILED, x, rank_p, cause=BUDGET)
+        return finish(FAILED, *kept, cause=BUDGET)
 
     # the reference Gram matrix of a coloring with all four colors has rank 3
-    return finish(COLORED, x, PALETTE - 1, coloring)
+    return finish(COLORED, classes, PALETTE - 1, coloring)
 
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def finalize_certificate(g: Graph, outcome: HeuristicOutcome) -> CertificateReport:
-    """Re-certify a colored outcome through the coloring-dependent dual.
-
-    Builds the cost matrix and dual assignment for the extracted coloring and
-    returns the certificate report, establishing dual rank >= n-3 post hoc.
-    """
-    if outcome.status != COLORED or outcome.coloring is None:
-        raise ValueError("finalize_certificate requires a colored outcome")
-    return certify_cost(g, outcome.coloring)

@@ -37,20 +37,5 @@ def numerical_rank(a: np.ndarray, tau: float = DEFAULT_RANK_TAU) -> int:
     return int(np.sum(np.abs(w) > cut))
 
 
-def gram_factor(a: np.ndarray) -> np.ndarray:
-    """Vectors v_i (rows) with v_i . v_j = a_ij, of dimension numerical_rank(a).
-
-    Built from the eigendecomposition by dropping near-zero eigenvalues.
-    Raises ValueError if a is not PSD within tolerance.
-    """
-    w, q = np.linalg.eigh(require_symmetric(a))
-    w, q = w[::-1], q[:, ::-1]
-    if w.size and w[-1] < -1e-9 * (1.0 + abs(w[0])):
-        raise ValueError(f"matrix is not PSD (lambda_min={w[-1]:.3e})")
-    r = numerical_rank(a)
-    scale = np.sqrt(np.clip(w[:r], 0.0, None))
-    return q[:, :r] * scale
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(require_symmetric(a))[0])

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from sdpcolor.batch import BatchReport, emit_report, run_batch
+from sdpcolor.batch import BatchReport, BatchRow, emit_report, run_batch
 from sdpcolor.cli import build_parser, cli_main
 from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text, load_corpus, load_figure
 from sdpcolor.graphs import GraphParseError, find_clique, parse_edge_list, plantri_line
-from sdpcolor.heuristics import EXHAUSTED, FAILED
+from sdpcolor.heuristics import CYCLE, EXHAUSTED, FAILED
+from test_heuristics import CYCLING
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,6 +40,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "COLORED" in out
+
+    def test_color_certify_runs_certify_cost(self, capsys):
+        code = cli_main(["color", "--algo", "1", "--graph", "fig4", "--certify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "certificate cost(k=4, n=12)" in out
+        assert out.splitlines()[-1].strip() == "verdict: True"
+
+    def test_color_cycle_names_its_cause(self, capsys, tmp_path):
+        path = tmp_path / "cycle.txt"
+        path.write_text(CYCLING["n11#1186/l2"][0] + "\n")
+        code = cli_main(["color", "--algo", "2", "--graph", str(path)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "FAILED solves=41 colored=[1, 2, 3, 8, 9, 10] cause=cycle")
 
     def test_usage_error_exit_two(self):
         assert cli_main(["no-such-command"]) == 2
@@ -208,6 +224,14 @@ class TestBatchCommand:
         (row,) = run_batch(plantri_line(load_figure("fig3")), 1).rows
         assert (row.n, row.status, row.solves) == (12, FAILED, 22)
         assert (row.cause, row.cause_vertex) == (EXHAUSTED, 9)
+
+    def test_cycle_row_round_trips(self):
+        line, solves, _ = CYCLING["n11#1186/l2"]
+        for algo in (1, 2):
+            (row,) = run_batch(line, algo).rows
+            assert (row.status, row.solves, row.cause, row.cause_vertex) == (
+                FAILED, solves, CYCLE, 0)
+            assert BatchRow.from_csv(row.to_csv()) == row
 
     def test_deterministic_reports(self):
         text = fixture_text(corpus_name(7))

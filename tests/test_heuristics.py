@@ -1,24 +1,49 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from conftest import complete_graph, path_graph
+from sdpcolor.certificates import certify_cost
 from sdpcolor.formulations import clique_face
-from sdpcolor.graphs import enumerate_cliques, parse_plantri_ascii, validate_coloring
+from sdpcolor.fixtures import fixture_text
+from sdpcolor.graphs import enumerate_cliques, find_clique, parse_plantri_ascii, validate_coloring
 from sdpcolor.heuristics import (
     BUDGET,
     COLORED,
+    CYCLE,
     EXHAUSTED,
     FAILED,
     HeuristicOutcome,
-    finalize_certificate,
     format_log,
     heuristic1,
     heuristic2,
     solve_modified,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Relabelings by tools/relabel_corpus.py (seed 20261019) on which every try of
+# a pass is rejected and the run cycles. Without the stop on a repeated state
+# each ran to its 4 n^2 budget (484, 576 and 576 solves); with it each ends at
+# its first repeat, one period (22, 22 and 36 solves) after its log turns
+# periodic. (plantri line, solves, classes kept)
+CYCLING = {
+    "n11#1186/l2": (
+        "11 chi,dgk,aefhi,bfgijk,cfghk,cdeik,bdehjk,acegij,acdfhj,dghi,bdefg",
+        41, ((1, 2, 10), (3,), (8,), (9,))),
+    "n12#4007/l1": (
+        "12 defk,efgl,gij,aefhi,abdfhkl,abdegik,bcfijl,deijl,cdfghj,cghil,aef,beghj",
+        31, ((1, 2), (4, 11), (5,), (3, 6))),
+    "n12#6858/l0": (
+        "12 efl,cehk,bejkl,fjkl,abcfghil,adeikl,ehik,begk,efgk,cdkl,bcdfghij,acdefj",
+        38, ((1, 2), (5,), (6,), (12,))),
+}
 
 
 class TestSolveModified:
@@ -132,8 +157,6 @@ class TestHeuristicRuns:
 
     def test_anchors_in_distinct_classes(self, fig4):
         out = heuristic1(fig4)
-        from sdpcolor.graphs import find_clique
-
         clique = find_clique(fig4, 4)
         for q, anchor in enumerate(clique):
             assert anchor in out.classes[q]
@@ -141,6 +164,45 @@ class TestHeuristicRuns:
     def test_no_k4_rejected(self):
         with pytest.raises(ValueError):
             heuristic1(path_graph(4))
+
+    @pytest.mark.parametrize("name", sorted(CYCLING))
+    def test_repeated_state_ends_cycle(self, name):
+        line, solves, classes = CYCLING[name]
+        (g,) = parse_plantri_ascii(line)
+        for runner in (heuristic1, heuristic2):
+            out = runner(g)
+            assert (out.status, out.cause, out.cause_vertex) == (FAILED, CYCLE, 0)
+            assert out.solve_count == solves
+            assert out.classes == classes
+            # after the first accepts, every try is rejected: two solves each
+            assert [e.action for e in out.log[-4:]] == ["try", "reject"] * 2
+
+    def test_budget_stop_reports_the_kept_iterate(self):
+        # The third solve tries vertex 4 at anchor 2, which is rejected; the
+        # re-solve would be the fourth. The run reports the iterate that
+        # accepted vertex 2, not the rejected try's ((1,), (3,), (8,), (9,)).
+        (g,) = parse_plantri_ascii(CYCLING["n11#1186/l2"][0])
+        for runner in (heuristic1, heuristic2):
+            out = runner(g, max_solves=3)
+            assert (out.status, out.cause, out.solve_count) == (FAILED, BUDGET, 3)
+            assert out.log[-1].action == "try"
+            assert out.classes == ((1, 2), (3,), (8,), (9,))
+            assert out.final_rank == 8
+
+    def test_relabel_tool_writes_the_cycling_n11_line(self, tmp_path):
+        subprocess.run([sys.executable, str(ROOT / "tools" / "relabel_corpus.py"),
+                        "planar_n11.txt", "20261019", "3", str(tmp_path)],
+                       check=True, capture_output=True)
+        files = sorted(tmp_path.iterdir())
+        assert [f.name for f in files] == [f"planar_n11_seed20261019_l{k}.txt" for k in range(3)]
+        shipped = fixture_text("planar_n11.txt").splitlines()
+        for f in files:
+            lines = f.read_text().splitlines()
+            assert len(lines) == len(shipped)
+            # graphs without a K_4 are copied as they are
+            assert all(line == old for line, old in zip(lines, shipped)
+                       if find_clique(parse_plantri_ascii(old)[0], 4) is None)
+        assert files[2].read_text().splitlines()[1186] == CYCLING["n11#1186/l2"][0]
 
     def test_budget_exhaustion_reports_failed(self, fig3):
         for budget in (1, 2):
@@ -170,18 +232,15 @@ class TestHeuristicRuns:
 
 
 class TestFinalizeCertificate:
+    """A colored outcome's coloring certified, as `sdpcolor color --certify` does."""
+
     def test_colored_outcome_certifies(self, fig4):
         out = heuristic1(fig4)
-        report = finalize_certificate(fig4, out)
+        report = certify_cost(fig4, out.coloring)
         assert report.verdict
         assert report.rank >= fig4.n - 3
 
     def test_k4_certificate_rank_one(self):
         g = complete_graph(4)
-        report = finalize_certificate(g, heuristic1(g))
+        report = certify_cost(g, heuristic1(g).coloring)
         assert report.rank == 1
-
-    def test_failed_outcome_rejected(self, fig3):
-        out = heuristic1(fig3)
-        with pytest.raises(ValueError):
-            finalize_certificate(fig3, out)

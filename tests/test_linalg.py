@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpcolor.linalg import (
-    gram_factor,
     min_eigenvalue,
     numerical_rank,
     require_symmetric,
@@ -25,14 +24,20 @@ def random_psd(dim, rank, rng=RNG):
 
 
 class TestEigenSym:
-    """The symmetric eigendecomposition inside gram_factor, numerical_rank
-    and min_eigenvalue. For PSD a, gram_factor(a) = Q diag(sqrt(w)) with the
-    nonzero eigenvalues w descending, so its Gram matrix V^T V is diag(w)."""
+    """The symmetric eigendecomposition inside numerical_rank and
+    min_eigenvalue. For PSD a, factor(a) gives the numerical_rank(a) nonzero
+    eigenvalues w, descending, and their orthonormal eigenvectors Q, with
+    a = Q diag(w) Q^T."""
+
+    @staticmethod
+    def factor(a):
+        w, q = np.linalg.eigh(require_symmetric(a))
+        r = numerical_rank(a)
+        return w[::-1][:r], q[:, ::-1][:, :r]
 
     @staticmethod
     def spectrum(a):
-        v = gram_factor(a)
-        return np.diag(v.T @ v)
+        return TestEigenSym.factor(a)[0]
 
     def test_identity(self):
         assert np.allclose(self.spectrum(np.eye(3)), [1.0, 1.0, 1.0])
@@ -54,10 +59,9 @@ class TestEigenSym:
     @pytest.mark.parametrize("dim", [2, 5, 17, 40, 64])
     def test_reconstruction_and_orthonormality(self, dim):
         a = random_psd(dim, dim)
-        v = gram_factor(a)
+        w, q = self.factor(a)
         scale = 1.0 + np.max(np.abs(a))
-        assert np.max(np.abs(v @ v.T - a)) <= 1e-10 * scale
-        q = v / np.sqrt(self.spectrum(a))
+        assert np.max(np.abs((q * w) @ q.T - a)) <= 1e-10 * scale
         assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-10
 
     def test_trace_matches_eigenvalue_sum(self):
@@ -73,7 +77,7 @@ class TestEigenSym:
 
     def test_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        for fn in (gram_factor, numerical_rank, min_eigenvalue):
+        for fn in (numerical_rank, min_eigenvalue):
             with pytest.raises(ValueError):
                 fn(a)
 
@@ -107,37 +111,6 @@ class TestNumericalRank:
         scale = data.draw(st.sampled_from([1.0, 7.0, 1e3, 1e6]))
         assert numerical_rank(a) == rank
         assert numerical_rank(scale * a) == rank
-
-
-class TestGramFactor:
-    def test_identity(self):
-        v = gram_factor(np.eye(2))
-        assert np.allclose(v @ v.T, np.eye(2), atol=1e-12)
-
-    def test_reference_simplex_dots(self):
-        x = np.full((3, 3), -0.5)
-        np.fill_diagonal(x, 1.0)
-        v = gram_factor(x)
-        assert v.shape == (3, 2)
-        assert np.allclose(v @ v.T, x, atol=1e-10)
-
-    def test_rank_one_all_ones(self):
-        v = gram_factor(np.ones((3, 3)))
-        assert v.shape == (3, 1)
-        assert np.allclose(v, v[0], atol=1e-10)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            gram_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_reconstruction_on_random_psd(self):
-        rng = np.random.default_rng(7)
-        for trial in range(100):
-            dim = int(rng.integers(1, 21))
-            rank = int(rng.integers(1, dim + 1))
-            a = random_psd(dim, rank, rng)
-            v = gram_factor(a)
-            assert np.max(np.abs(v @ v.T - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
 
 
 class TestMatrixText:

@@ -19,9 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sdpcolor"
 
-ALLOWED = {
-    "gram_factor": "the paper names the Gram factor of an optimum; tests check it",
-}
+ALLOWED: dict = {}
 
 
 def _identifiers(node) -> set:
