@@ -31,7 +31,6 @@ from .graphs import (
     validate_trace,
 )
 from .linalg import min_eigenvalue, numerical_rank
-from .sdp import INACCURATE, OPTIMAL
 
 PSD_SLACK = 1e-10
 EXACT_TOL = 1e-12
@@ -193,6 +192,8 @@ def coloring_cost_dual(g: Graph, c: Coloring, clique) -> DualAssignment:
     the objective sum y_i - (2/(k-1)) sum z_e come out in exact integers.
     """
     k = c.k
+    if k < 2:
+        raise ValueError("palette size must be at least 2")
     clique = _require_clique(g, clique, k)
     cost = coloring_cost_matrix(g, c)
     col_sums = cost.sum(axis=0)
@@ -234,8 +235,7 @@ def certify_cost(g: Graph, c: Coloring) -> CertificateReport:
     rank = numerical_rank(assignment.S)
     objective_match = abs(primal_obj - assignment.dual_obj) <= OBJ_TOL
     sol = solve_cost(clique_face(g, k), cost)
-    usable = sol.face.status in (OPTIMAL, INACCURATE)
-    extracted = extract_coloring(sol.X, k) if usable else None
+    extracted = extract_coloring(sol.X, k) if sol.face.usable else None
     checks = {
         "solver_optimal": sol.face.optimal,
         "solver_extract": extracted is not None and extracted.partition() == c.partition(),
@@ -271,6 +271,8 @@ def independent_cost(g: Graph, k: int):
     slack has S_ii = k_i, S_ij = k_ij, the clique-sum decomposition. Every
     feasible primal is optimal for this cost. Returns (C, DualAssignment).
     """
+    if k < 2:
+        raise ValueError("palette size must be at least 2")
     cliques = enumerate_cliques(g, k)
     if not cliques:
         raise ValueError(f"graph has no K_{k}")

@@ -16,18 +16,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graphs import Coloring, Graph, enumerate_cliques, validate_coloring
-from .linalg import DEFAULT_RANK_TAU, numerical_rank, symmetrize
-from .sdp import FaceMap, SdpProblem, SdpSolution, solve
+from .linalg import DEFAULT_RANK_TAU, numerical_rank, require_symmetric, symmetrize
+from .sdp import ConstraintMap, FaceMap, SdpSolution, solve
 
 DEFAULT_EXTRACT_TOL = 1e-4
 
 
-def build_svcn(g: Graph) -> SdpProblem:
-    """Assemble the (n+1)-dimensional strict vector chromatic number SDP.
+def build_svcn(g: Graph) -> tuple:
+    """The constraints of the (n+1)-dimensional strict vector chromatic number SDP.
 
     Constraints, in order: z_ij + z_00 = 0 per edge of g.edge_list(), then
-    z_ii = 1 per vertex; m = |E| + n. Solving gives the strict vector
-    chromatic number as the primal objective (-z_00).
+    z_ii = 1 per vertex; m = |E| + n. Minimizing -z_00 over them gives the
+    strict vector chromatic number (solve_svcn). A graph without edges leaves
+    z_00 free, so its SDP is unbounded, and it raises ValueError.
 
     The paper's z_0i = 0 rows are not built. With D = diag(-1, I), X -> DXD
     fixes the objective and every constraint above and negates X[0, 1:], so
@@ -38,17 +39,15 @@ def build_svcn(g: Graph) -> SdpProblem:
     factor X_0i or (S^-1)_0i, so with the rows their multipliers are exactly
     0, and without them X[0, 1:] and S[0, 1:] stay exactly 0.
     """
-    n = g.n
-    dim = n + 1
-    objective = np.zeros((dim, dim))
-    objective[0, 0] = -1.0
+    if not g.edges:
+        raise ValueError("a graph without edges has an unbounded SVCN")
     constraints = [(((0, 0, 1.0), (i, j, 0.5)), 0.0) for i, j in g.edge_list()]
     constraints += [(((i, i, 1.0),), 1.0) for i in g.vertices()]
-    return SdpProblem.build(dim, objective, constraints)
+    return tuple(constraints)
 
 
-def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpProblem:
-    """Assemble the cost SDP: X_ij = -1/(k-1) on edges, unit diagonal.
+def build_cost_sdp(g: Graph, k: int) -> tuple:
+    """The constraints of the cost SDP: X_ij = -1/(k-1) on edges, unit diagonal.
 
     Constraints, in order: one per edge of g.edge_list(), then one per
     vertex. Each edge constraint is the entry pair X_ij = X_ji with
@@ -63,12 +62,9 @@ def build_cost_sdp(g: Graph, k: int, c: np.ndarray) -> SdpProblem:
     """
     if k < 2:
         raise ValueError("palette size must be at least 2")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (g.n, g.n):
-        raise ValueError("cost matrix dimension mismatch")
     constraints = [(((i - 1, j - 1, 1.0),), -2.0 / (k - 1)) for i, j in g.edge_list()]
     constraints += [(((i - 1, i - 1, 1.0),), 1.0) for i in g.vertices()]
-    return SdpProblem.build(g.n, c, constraints)
+    return tuple(constraints)
 
 
 def reference_solution(g: Graph, c: Coloring) -> np.ndarray:
@@ -78,6 +74,8 @@ def reference_solution(g: Graph, c: Coloring) -> np.ndarray:
     k-1 when all k colors are used. Built directly as the Gram matrix, so the
     entries are exact.
     """
+    if c.k < 2:
+        raise ValueError("palette size must be at least 2")
     if not validate_coloring(g, c):
         raise ValueError("coloring is not proper for this graph")
     colors = np.array(c.assignment)
@@ -138,7 +136,10 @@ def solve_svcn(g: Graph, tau: float = DEFAULT_RANK_TAU) -> SvcnSummary:
     The solve runs at sdp.DEFAULT_TOL; a rank counts the eigenvalues above
     tau * max(1, |lambda_1|).
     """
-    sol = solve(build_svcn(g))
+    dim = g.n + 1
+    objective = np.zeros((dim, dim))
+    objective[0, 0] = -1.0
+    sol = solve(ConstraintMap(dim, build_svcn(g)), objective)
     return SvcnSummary(
         objective=sol.primal_obj,
         rank_primal=numerical_rank(sol.X[1:, 1:], tau),
@@ -159,12 +160,12 @@ def clique_face(g: Graph, k: int) -> FaceMap:
     The face does not depend on the cost, so one serves every cost solve on
     (g, k).
     """
-    problem = build_cost_sdp(g, k, np.zeros((g.n, g.n)))
+    constraints = build_cost_sdp(g, k)
     cliques = enumerate_cliques(g, k)
     u = np.zeros((g.n, len(cliques)))
     for col, q in enumerate(cliques):
         u[[v - 1 for v in q], col] = 1.0
-    return FaceMap(sla.null_space(u.T), problem.constraints)
+    return FaceMap(sla.null_space(u.T), constraints)
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,13 @@ class CostSolution:
 def solve_cost(face: FaceMap, cost: np.ndarray) -> CostSolution:
     """Solve the cost SDP with this cost on its clique face; lift X.
 
-    Only the cost is new per solve: the solver projects it to V^T C V and
-    reuses the face's operator and Gram factor. The face solve runs at
+    Only the cost is new per solve: it is projected to V^T C V, and the
+    solver reuses the face's operator and Gram factor. The face solve runs at
     sdp.DEFAULT_TOL. Its S_W stays in face coordinates: V S_W V^T need not be
     an unreduced dual slack, since that dual can recede along u_Q u_Q^T, a
     constraint combination of b-weight 0, without changing its objective, so
     its optimum need not be attained.
     """
-    sol = solve(SdpProblem(face.basis.shape[0], np.asarray(cost, dtype=float),
-                           face.constraints, face))
-    return CostSolution(symmetrize(face.basis @ sol.X @ face.basis.T), sol)
+    v = face.basis
+    sol = solve(face, symmetrize(v.T @ require_symmetric(cost) @ v))
+    return CostSolution(symmetrize(v @ sol.X @ v.T), sol)

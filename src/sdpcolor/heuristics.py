@@ -43,7 +43,7 @@ import numpy as np
 from .formulations import clique_face, reference_solution, solve_cost
 from .graphs import Coloring, Graph, find_clique, validate_coloring
 from .linalg import numerical_rank
-from .sdp import INACCURATE, OPTIMAL, FaceMap
+from .sdp import FaceMap
 
 ALIGN_TOL = 1e-4
 PALETTE = 4
@@ -109,7 +109,7 @@ def solve_modified(face: FaceMap, cost: np.ndarray):
     decisions off it. Any other status raises SolverError.
     """
     sol = solve_cost(face, cost)
-    if sol.face.status not in (OPTIMAL, INACCURATE):
+    if not sol.face.usable:
         raise SolverError(f"cost SDP ended with status {sol.face.status}")
     return sol.X, numerical_rank(sol.X)
 

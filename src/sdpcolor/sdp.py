@@ -3,12 +3,13 @@
 Primal:  min C . X   s.t.  A_i . X = b_i,  X PSD
 Dual:    max b^T y   s.t.  S = C - sum_i y_i A_i,  S PSD
 
-Each A_i is stored as its few nonzero entries. The solver reaches the
-constraints only through an operator: b, A(W), A*(y), the Schur matrix and
-the Gram factor that restores A(dW) = r. Which operator a problem gets
-follows from the problem itself:
+Each A_i is stored as its few nonzero entries. An SDP is posed as an
+operator and an objective, solve(ops, C): the solver reaches the constraints
+only through the operator, which gives b, A(W), A*(y), the Schur matrix and
+the Gram factor that restores A(dW) = r, and it takes C in that operator's
+coordinates. The caller picks the operator:
 
-- without a face, ConstraintMap works on the entries: A(X) is a gather and
+- on the whole cone, ConstraintMap works on the entries: A(X) is a gather and
   A*(y) a scatter over them, so no constraint is a dense matrix (at n = 100 a
   dense operator would be 394 x 10,201). The Schur matrix is G K G^T over the
   distinct cells the entries touch (689 for those 982 entries), with the
@@ -17,9 +18,9 @@ follows from the problem itself:
 - with a face (FaceMap, basis V of d columns), the variable is restricted to
   X = V W V^T and the solver works in W. There every V^T A_i V is a dense
   d x d matrix, so FaceMap holds them as the rows of one m x d^2 operator and
-  A(W), A*(y) and the Schur matrix are matrix products. A FaceMap holds no
-  objective: it is built once and serves every problem on the same face and
-  constraints, which then only projects its objective, V^T C V.
+  A(W), A*(y) and the Schur matrix are matrix products. It is built once
+  and serves every objective on the same face and constraints; the caller
+  projects each one to V^T C V.
 
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
@@ -32,8 +33,8 @@ length to the PSD boundary is -1/lambda_min of the pencil (dP, P), P = X or
 S, from one dsygv call; when P's Cholesky fails, an eigh of P gives the
 eigenvalues instead. It is deterministic. It assumes independent constraints
 and a feasible set with an interior: when the interior is empty, steps shrink
-toward the boundary and the solve can run to the iteration cap. Give such a
-problem the FaceMap of the face that holds its feasible set, as
+toward the boundary and the solve can run to the iteration cap. Pose such a
+problem on the FaceMap of the face that holds its feasible set, as
 formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
@@ -76,41 +77,6 @@ _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 _SCHUR_BLOCK = 128  # rows of K gathered at a time by ConstraintMap.schur
 
 
-@dataclass(frozen=True)
-class SdpProblem:
-    """Standard-form instance: dim, objective C, constraints (entries_i, b_i).
-
-    The entries of a constraint are its distinct nonzero upper-triangle cells
-    (r, c, value), r <= c, each setting A_i[r, c] = A_i[c, r] = value. The
-    optional face (a FaceMap of these constraints, basis V of dim rows and
-    orthonormal columns) restricts the variable to X = V W V^T.
-    """
-
-    dim: int
-    objective: np.ndarray
-    constraints: tuple
-    face: FaceMap | None = None
-
-    def __post_init__(self):
-        require_symmetric(self.objective)
-        if self.objective.shape != (self.dim, self.dim):
-            raise ValueError("objective dimension mismatch")
-        if self.face is None:
-            _check_constraints(self.constraints, self.dim)
-        elif self.face.basis.shape[0] != self.dim or self.face.constraints != self.constraints:
-            raise ValueError("face does not match the problem's dimension and constraints")
-
-    @classmethod
-    def build(cls, dim, objective, constraints) -> "SdpProblem":
-        cons = tuple((tuple((int(r), int(c), float(v)) for r, c, v in entries), float(bi))
-                     for entries, bi in constraints)
-        return cls(dim, np.asarray(objective, dtype=float), cons)
-
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
-
-
 def _check_constraints(constraints, dim: int) -> None:
     """ValueError unless each constraint has distinct upper-triangle cells, at least one."""
     if not constraints:
@@ -149,7 +115,11 @@ class _Operator:
 
 
 class ConstraintMap(_Operator):
-    """A problem without a face, reached through its entries.
+    """Constraints on a variable of order dim, reached through their entries.
+
+    Each constraint is (entries, b_i); its entries are its distinct nonzero
+    upper-triangle cells (r, c, value), r <= c, each setting A_i[r, c] =
+    A_i[c, r] = value. They are checked when the map is built.
 
     The entries are flattened with both triangles listed, so entry s sets
     A_{i_s}[p_s, q_s] = c_s; gather and scatter work on them. The Schur matrix
@@ -158,15 +128,15 @@ class ConstraintMap(_Operator):
     constraints share (the SVCN's corner cell) is one column, not many.
     """
 
-    def __init__(self, problem: SdpProblem):
-        self.row, self.p, self.q, self.coef = _flat_entries(problem.constraints)
-        n = problem.dim
-        cells, col = np.unique(self.p * n + self.q, return_inverse=True)
-        self.cell_p, self.cell_q = np.divmod(cells, n)
-        self.g = sparse.csr_matrix((self.coef, (self.row, col)), shape=(problem.m, cells.size))
-        self.b = np.array([bi for _, bi in problem.constraints])
-        self.order = n
-        eye = np.eye(n)
+    def __init__(self, dim: int, constraints):
+        _check_constraints(constraints, dim)
+        self.row, self.p, self.q, self.coef = _flat_entries(constraints)
+        cells, col = np.unique(self.p * dim + self.q, return_inverse=True)
+        self.cell_p, self.cell_q = np.divmod(cells, dim)
+        self.b = np.array([bi for _, bi in constraints])
+        self.g = sparse.csr_matrix((self.coef, (self.row, col)), shape=(self.b.size, cells.size))
+        self.order = dim
+        eye = np.eye(dim)
         self.gram = _Factor(self.schur(eye, eye))
 
     def gather(self, x: np.ndarray) -> np.ndarray:
@@ -212,7 +182,7 @@ class FaceMap(_Operator):
     orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
     matrix, and the Schur matrix tr(A_i W A_j T) is the product of the stacked
     A_i W with the stacked T A_j. The constraints are checked, and the Gram
-    factor computed, once, so every problem on this face shares both.
+    factor computed, once, so every solve on this face shares both.
     """
 
     def __init__(self, basis: np.ndarray, constraints: tuple):
@@ -267,6 +237,12 @@ class SdpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
+
+    @property
+    def usable(self) -> bool:
+        """Optimal, or inaccurate: feasible to 10 * DEFAULT_TOL with its
+        duality gap within the same bound."""
+        return self.status in (OPTIMAL, INACCURATE)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -365,29 +341,28 @@ class _Window:
             self.seen += 1
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
-    """Solve the SDP in one pass of at most DEFAULT_MAX_ITER iterations.
+def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
+    """Solve min C . W over A(W) = b, W PSD, in one pass of at most
+    DEFAULT_MAX_ITER iterations.
 
-    The status is optimal, inaccurate, max-iterations or numerical-failure;
-    with the iteration count it names the loop exit that produced it (see the
-    module docstring). On a face X = V W V^T, X and S are those of W, of
-    order V's column count, and the caller lifts what it needs.
+    ops gives the constraints and objective C is in its coordinates: a
+    symmetric matrix of order ops.order. On a FaceMap that is V^T C V, and
+    X and S are those of W; the caller lifts what it needs. The status is
+    optimal, inaccurate, max-iterations or numerical-failure; with the
+    iteration count it names the loop exit that produced it (see the module
+    docstring).
     """
-    if problem.face is None:
-        ops = ConstraintMap(problem)
-        c = problem.objective
-    else:
-        ops = problem.face
-        v = ops.basis
-        c = symmetrize(v.T @ problem.objective @ v)
-    b = ops.b
+    c = require_symmetric(objective)
     ell = ops.order
+    if c.shape != (ell, ell):
+        raise ValueError(f"objective of order {c.shape[0]}, operator of order {ell}")
+    b = ops.b
     res_scale = 1.0 + float(np.abs(b).max()) + float(np.abs(c).max())
 
     eye = np.eye(ell)
     x = res_scale * eye
     s = res_scale * eye
-    y = np.zeros(problem.m)
+    y = np.zeros(b.size)
 
     status = MAX_ITERATIONS
     iterations = 0

@@ -7,8 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from sdpcolor.linalg import min_eigenvalue, numerical_rank, require_symmetric, symmetrize
-from sdpcolor.sdp import ConstraintMap
-
 
 def check_complementarity(x, s, tol):
     """(verdict, ||X S||_max, rank X, rank S) of a primal-dual pair.
@@ -26,13 +24,13 @@ def check_complementarity(x, s, tol):
     return verdict, product_norm, rank_x, rank_s
 
 
-def verify_feasible_dual(problem, y):
-    """(S, psd, b^T y) for S = C - sum y_i A_i; psd allows a relative 1e-9."""
+def verify_feasible_dual(ops, objective, y):
+    """(S, psd, b^T y) for S = C - sum y_i A_i, the A_i those of the
+    ConstraintMap ops; psd allows a relative 1e-9."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ValueError(f"expected {problem.m} dual values, got {y.shape}")
-    ops = ConstraintMap(problem)
-    s = symmetrize(problem.objective - ops.scatter(y))
+    if y.shape != ops.b.shape:
+        raise ValueError(f"expected {ops.b.size} dual values, got {y.shape}")
+    s = symmetrize(objective - ops.scatter(y))
     lam = min_eigenvalue(s)
     slack = 1e-9 * (1.0 + abs(lam) + float(np.max(np.abs(s))))
     return s, lam >= -slack, float(ops.b @ y)

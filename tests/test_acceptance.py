@@ -25,7 +25,6 @@ from sdpcolor.certificates import (
 )
 from sdpcolor.fixtures import corpus_name, fixture_text, load_corpus, load_figure
 from sdpcolor.formulations import (
-    build_svcn,
     extract_coloring,
     reference_solution,
     solve_svcn,
@@ -41,8 +40,8 @@ from sdpcolor.graphs import (
 )
 from sdpcolor.heuristics import COLORED, EXHAUSTED, FAILED, heuristic1, heuristic2
 from sdpcolor.linalg import min_eigenvalue, numerical_rank
-from sdpcolor.sdp import OPTIMAL, solve
-from test_sdp import diagonal_lp_instance
+from sdpcolor.sdp import OPTIMAL, ConstraintMap, solve
+from test_sdp import diagonal_lp_instance, svcn_instance
 
 RANK_TAU = 1e-6
 
@@ -250,8 +249,8 @@ def test_criterion_10_solver_properties():
     for _ in range(50):
         dim = int(rng.integers(3, 9))
         m = int(rng.integers(1, dim))
-        problem, c_diag, rows, b = diagonal_lp_instance(rng, dim, m)
-        sol = solve(problem)
+        constraints, objective, c_diag, rows, b = diagonal_lp_instance(rng, dim, m)
+        sol = solve(ConstraintMap(dim, constraints), objective)
         assert sol.status == OPTIMAL
         assert sol.primal_obj >= sol.dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
         verdict, *_ = check_complementarity(sol.X, sol.S, tol=1e-5)
@@ -260,9 +259,9 @@ def test_criterion_10_solver_properties():
         assert lp.success
         assert abs(sol.primal_obj - lp.fun) <= 1e-7 * (1 + abs(lp.fun))
         lp_checked += 1
-    svcn_problem = build_svcn(load_figure("fig4"))
-    first = solve(svcn_problem)
-    second = solve(svcn_problem)
+    dim, constraints, objective = svcn_instance(load_figure("fig4"))
+    first = solve(ConstraintMap(dim, constraints), objective)
+    second = solve(ConstraintMap(dim, constraints), objective)
     assert first.iterations == second.iterations
     assert abs(first.primal_obj - second.primal_obj) <= 1e-12
     report("criterion 10 (solver property suite)", True,

@@ -30,6 +30,7 @@ from sdpcolor.graphs import (
     is_ktree,
 )
 from sdpcolor.linalg import numerical_rank
+from sdpcolor.sdp import ConstraintMap
 
 
 def five_vertex_three_tree():
@@ -170,9 +171,9 @@ class TestColoringCostDual:
     def test_dual_vector_feasible_through_solver_interface(self, fig4):
         c = chromatic_oracle(fig4)[1]
         assignment = coloring_cost_dual(fig4, c, find_clique(fig4, 4))
-        problem = build_cost_sdp(fig4, 4, coloring_cost_matrix(fig4, c))
+        ops = ConstraintMap(fig4.n, build_cost_sdp(fig4, 4))
         y = dual_vector(fig4, assignment)
-        s, psd, dual_obj = verify_feasible_dual(problem, y)
+        s, psd, dual_obj = verify_feasible_dual(ops, coloring_cost_matrix(fig4, c), y)
         assert psd
         assert abs(dual_obj - assignment.dual_obj) < 1e-9
         assert np.allclose(s, assignment.S, atol=1e-12)
@@ -181,6 +182,11 @@ class TestColoringCostDual:
         g = path_graph(3)
         with pytest.raises(ValueError):
             coloring_cost_dual(g, Coloring(2, (1, 2, 1)), (1, 3))
+
+    def test_single_color_rejected(self):
+        # its dual objective divides by k - 1
+        with pytest.raises(ValueError, match="at least 2"):
+            coloring_cost_dual(Graph.from_edges(3, []), Coloring(1, (1, 1, 1)), (1,))
 
 
 class TestCertifyCost:
@@ -219,6 +225,10 @@ class TestCertifyCost:
 
 
 class TestIndependentCost:
+    def test_single_color_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            independent_cost(Graph.from_edges(3, []), 1)
+
     def test_triangle(self):
         g = complete_graph(3)
         cost, assignment = independent_cost(g, 3)

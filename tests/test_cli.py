@@ -56,6 +56,17 @@ class TestExitCodes:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "FAILED solves=41 colored=[1, 2, 3, 8, 9, 10] cause=cycle")
 
+    @pytest.mark.parametrize("argv", [
+        ["svcn"],  # unbounded: nothing bounds z_00
+        ["certify-cost"],  # the oracle's coloring uses k = 1 color
+        ["independent-cost", "--colors", "1"],
+    ])
+    def test_graph_without_edges_refused(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.edges"
+        path.write_text("3 0\n")
+        assert cli_main(argv + ["--graph", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exit_two(self):
         assert cli_main(["no-such-command"]) == 2
 

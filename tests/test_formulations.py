@@ -12,16 +12,18 @@ from sdpcolor.formulations import (
     reference_solution,
     solve_svcn,
 )
-from sdpcolor.graphs import Coloring, chromatic_oracle, generate_ktree
+from sdpcolor.graphs import Coloring, Graph, chromatic_oracle, generate_ktree
 from sdpcolor.linalg import numerical_rank
-from sdpcolor.sdp import SdpProblem, solve
+from sdpcolor.sdp import ConstraintMap, solve
+from test_sdp import svcn_instance
 
 
 def paper_svcn(g):
-    """The paper's SVCN form: build_svcn's constraints, then z_0i = 0 per vertex."""
-    problem = build_svcn(g)
+    """(operator, objective) of the paper's SVCN form: build_svcn's constraints,
+    then z_0i = 0 per vertex."""
+    dim, constraints, objective = svcn_instance(g)
     corner = [(((0, i, 0.5),), 0.0) for i in g.vertices()]
-    return SdpProblem.build(problem.dim, problem.objective, list(problem.constraints) + corner)
+    return ConstraintMap(dim, constraints + tuple(corner)), objective
 
 
 def pairwise_extract(x, k, tol):
@@ -49,17 +51,22 @@ def pairwise_extract(x, k, tol):
 
 class TestBuildSvcn:
     def test_constraint_count(self, fig3):
-        problem = build_svcn(fig3)
-        assert problem.dim == fig3.n + 1
-        assert problem.m == len(fig3.edges) + fig3.n
+        constraints = build_svcn(fig3)
+        assert len(constraints) == len(fig3.edges) + fig3.n
+        assert ConstraintMap(fig3.n + 1, constraints).order == fig3.n + 1
 
     def test_sparse_constraints(self, fig3):
-        for entries, _ in build_svcn(fig3).constraints:
+        for entries, _ in build_svcn(fig3):
             assert len({(r, c) for r, c, _ in entries}) <= 2
 
     def test_objective_is_alpha_cell(self):
-        objective = build_svcn(complete_graph(3)).objective
-        assert objective[0, 0] == -1.0 and np.count_nonzero(objective) == 1
+        summary = solve_svcn(complete_graph(3))
+        assert summary.objective == -summary.solution.X[0, 0]
+
+    def test_graph_without_edges_rejected(self):
+        # nothing bounds z_00 from above, so -z_00 is unbounded below
+        with pytest.raises(ValueError, match="unbounded"):
+            build_svcn(Graph.from_edges(3, []))
 
     @pytest.mark.parametrize("k,target", [(2, -1.0), (3, -0.5), (4, -1.0 / 3.0)])
     def test_clique_objectives(self, k, target):
@@ -74,7 +81,7 @@ class TestBuildSvcn:
         # fig1's primal optimum is not unique, so its ranks are compared, not X.
         g = fig1 if case == "fig1" else generate_ktree(4, 30, 20240811)[0]
         summary = solve_svcn(g)
-        paper = solve(paper_svcn(g))
+        paper = solve(*paper_svcn(g))
         assert summary.solution.status == paper.status
         assert abs(summary.objective - paper.primal_obj) <= 1e-8
         assert (summary.rank_primal, summary.rank_dual) == (
@@ -100,19 +107,18 @@ class TestBuildSvcn:
 
 class TestBuildCostSdp:
     def test_constraint_count(self, fig3):
-        problem = build_cost_sdp(fig3, 4, np.zeros((12, 12)))
-        assert problem.m == len(fig3.edges) + fig3.n
+        assert len(build_cost_sdp(fig3, 4)) == len(fig3.edges) + fig3.n
 
     def test_zero_cost_objective(self):
         g = complete_graph(4)
-        sol = solve(build_cost_sdp(g, 4, np.zeros((4, 4))))
+        sol = solve(ConstraintMap(g.n, build_cost_sdp(g, 4)), np.zeros((4, 4)))
         assert abs(sol.primal_obj) <= 1e-7
 
     def test_coloring_cost_objective_is_cost_sum(self):
         g, _ = generate_ktree(4, 9, seed=3)
         _, coloring = chromatic_oracle(g)
         cost = coloring_cost_matrix(g, coloring)
-        sol = solve(build_cost_sdp(g, 4, cost))
+        sol = solve(ConstraintMap(g.n, build_cost_sdp(g, 4)), cost)
         assert abs(sol.primal_obj - cost.sum()) <= 1e-5 * (1 + abs(cost.sum()))
 
     def test_independent_cost_objective(self):
@@ -127,7 +133,7 @@ class TestBuildCostSdp:
 
     def test_palette_validation(self):
         with pytest.raises(ValueError):
-            build_cost_sdp(complete_graph(3), 1, np.zeros((3, 3)))
+            build_cost_sdp(complete_graph(3), 1)
 
 
 class TestReferenceSolution:
@@ -163,6 +169,11 @@ class TestReferenceSolution:
     def test_improper_coloring_rejected(self):
         with pytest.raises(ValueError):
             reference_solution(complete_graph(3), Coloring(3, (1, 1, 2)))
+
+    def test_single_color_rejected(self):
+        # its off-class entry is -1/(k-1)
+        with pytest.raises(ValueError, match="at least 2"):
+            reference_solution(Graph.from_edges(3, []), Coloring(1, (1, 1, 1)))
 
 
 class TestExtractColoring:

@@ -34,7 +34,6 @@ from sdpcolor.sdp import (
     _SCHUR_BLOCK,
     ConstraintMap,
     FaceMap,
-    SdpProblem,
     _Factor,
     _max_step,
     solve,
@@ -42,14 +41,23 @@ from sdpcolor.sdp import (
 
 
 def diagonal_lp_instance(rng, dim, m):
-    """Random diagonal SDP that reduces to an LP with both sides strictly feasible."""
+    """Random diagonal SDP of order dim that reduces to an LP with both sides
+    strictly feasible: (constraints, C, diag C, LP rows, b)."""
     rows = rng.normal(size=(m, dim))
     x0 = rng.uniform(0.5, 2.0, size=dim)
     b = rows @ x0
     y0 = rng.normal(size=m)
     c_diag = rows.T @ y0 + rng.uniform(0.5, 2.0, size=dim)
     constraints = [([(j, j, rows[i, j]) for j in range(dim)], b[i]) for i in range(m)]
-    return SdpProblem.build(dim, np.diag(c_diag), constraints), c_diag, rows, b
+    return constraints, np.diag(c_diag), c_diag, rows, b
+
+
+def svcn_instance(g):
+    """(dim, constraints, objective) of g's SVCN, as solve_svcn poses it."""
+    dim = g.n + 1
+    objective = np.zeros((dim, dim))
+    objective[0, 0] = -1.0
+    return dim, build_svcn(g), objective
 
 
 class TestLpReduction:
@@ -58,8 +66,8 @@ class TestLpReduction:
         for trial in range(50):
             dim = int(rng.integers(3, 9))
             m = int(rng.integers(1, dim))
-            problem, c_diag, rows, b = diagonal_lp_instance(rng, dim, m)
-            sol = solve(problem)
+            constraints, objective, c_diag, rows, b = diagonal_lp_instance(rng, dim, m)
+            sol = solve(ConstraintMap(dim, constraints), objective)
             lp = linprog(c_diag, A_eq=rows, b_eq=b, bounds=(0, None), method="highs")
             assert lp.success, f"oracle LP failed on trial {trial}"
             assert sol.status == OPTIMAL, f"trial {trial}: {sol.status}"
@@ -72,41 +80,39 @@ class TestLpReduction:
 @pytest.fixture(scope="module")
 def solved_batch():
     rng = np.random.default_rng(7)
-    solutions = []
+    instances = []
     for _ in range(10):
         dim = int(rng.integers(3, 9))
         m = int(rng.integers(1, dim))
-        problem, *_ = diagonal_lp_instance(rng, dim, m)
-        solutions.append((problem, solve(problem)))
-    for k in (3, 4):
-        problem = build_svcn(complete_graph(k))
-        solutions.append((problem, solve(problem)))
-    return solutions
+        constraints, objective, *_ = diagonal_lp_instance(rng, dim, m)
+        instances.append((dim, constraints, objective))
+    instances += [svcn_instance(complete_graph(k)) for k in (3, 4)]
+    return [(dim, constraints, objective,
+             solve(ConstraintMap(dim, constraints), objective))
+            for dim, constraints, objective in instances]
 
 
-def residuals(problem, sol):
+def residuals(dim, constraints, objective, sol):
     """||A(X) - b||_inf and ||S - C + sum_i y_i A_i||_max, from the dense A_i."""
-    mats = dense_constraints(problem)
-    primal = max(abs(np.sum(a * sol.X) - bi) for a, (_, bi) in zip(mats, problem.constraints))
-    dual = np.max(np.abs(sol.S - problem.objective + sum(yi * a for yi, a in zip(sol.y, mats))))
+    mats = dense_constraints(dim, constraints)
+    primal = max(abs(np.sum(a * sol.X) - bi) for a, (_, bi) in zip(mats, constraints))
+    dual = np.max(np.abs(sol.S - objective + sum(yi * a for yi, a in zip(sol.y, mats))))
     return primal, dual
 
 
 class TestSolverProperties:
     def test_weak_duality(self, solved_batch):
-        for problem, sol in solved_batch:
+        for *_, sol in solved_batch:
             if sol.status == OPTIMAL:
                 assert sol.primal_obj >= sol.dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
 
     def test_optimal_invariants(self, solved_batch):
-        for problem, sol in solved_batch:
+        for dim, constraints, objective, sol in solved_batch:
             if sol.status != OPTIMAL:
                 continue
-            b = [bi for _, bi in problem.constraints]
-            scale = 1.0 + (np.max(np.abs(b)) if len(b) else 0.0) + np.max(
-                np.abs(problem.objective)
-            )
-            primal_inf, dual_inf = residuals(problem, sol)
+            b = [bi for _, bi in constraints]
+            scale = 1.0 + (np.max(np.abs(b)) if len(b) else 0.0) + np.max(np.abs(objective))
+            primal_inf, dual_inf = residuals(dim, constraints, objective, sol)
             assert primal_inf <= 1e-8 * scale
             assert dual_inf <= 1e-8 * scale
             gap = abs(sol.primal_obj - sol.dual_obj)
@@ -115,16 +121,16 @@ class TestSolverProperties:
             assert min_eigenvalue(sol.S) >= -1e-9
 
     def test_complementarity_on_optimal_solves(self, solved_batch):
-        for _, sol in solved_batch:
+        for *_, sol in solved_batch:
             if sol.status == OPTIMAL:
                 verdict, product_norm, rank_x, rank_s = check_complementarity(
                     sol.X, sol.S, tol=1e-5)
                 assert verdict, (product_norm, rank_x + rank_s)
 
     def test_deterministic(self):
-        problem = build_svcn(complete_graph(4))
-        a = solve(problem)
-        b = solve(problem)
+        dim, constraints, objective = svcn_instance(complete_graph(4))
+        a = solve(ConstraintMap(dim, constraints), objective)
+        b = solve(ConstraintMap(dim, constraints), objective)
         assert a.iterations == b.iterations
         assert abs(a.primal_obj - b.primal_obj) <= 1e-12
         assert np.array_equal(a.X, b.X)
@@ -132,8 +138,8 @@ class TestSolverProperties:
     def test_lu_fallback_is_counted(self, fig1):
         # the Schur matrix of a 3-tree's SVCN turns numerically singular near
         # its (primal-degenerate) optimum; fig1's never does
-        assert solve(build_svcn(fig1)).lu_steps == 0
-        sol = solve(build_svcn(generate_ktree(4, 60, 20240811)[0]))
+        assert solve_svcn(fig1).solution.lu_steps == 0
+        sol = solve_svcn(generate_ktree(4, 60, 20240811)[0]).solution
         assert sol.status == OPTIMAL
         assert 0 < sol.lu_steps <= sol.iterations
 
@@ -151,16 +157,32 @@ class TestSolverProperties:
 
     def test_infeasible_problem_degrades_gracefully(self):
         # X_11 = -1 contradicts positive semidefiniteness
-        problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0)], -1.0)])
-        sol = solve(problem)
+        sol = solve(ConstraintMap(2, [([(0, 0, 1.0)], -1.0)]), np.eye(2))
         assert sol.status == MAX_ITERATIONS
+
+    def test_objective_must_fit_the_operator(self, corpora):
+        ops = ConstraintMap(2, [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve(ops, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="order"):
+            solve(ops, np.eye(3))
+        face = clique_face(corpora[10][179], 4)
+        with pytest.raises(ValueError, match="order"):  # a cost not projected to the face
+            solve(face, np.eye(face.basis.shape[0]))
+
+    def test_solve_cost_rejects_asymmetric_cost(self, corpora):
+        g = corpora[10][179]
+        cost = np.zeros((g.n, g.n))
+        cost[0, 1] = -1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_cost(clique_face(g, 4), cost)
 
     def test_non_finite_direction_ends_as_numerical_failure(self):
         # C_11 = 1e200 puts X . S beyond the float range, so the first search
         # direction overflows; the solve returns the iterate it started from
-        problem = SdpProblem.build(2, np.diag([1e200, 1.0]), [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
+        ops = ConstraintMap(2, [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve(problem)
+            sol = solve(ops, np.diag([1e200, 1.0]))
         assert sol.status == NUMERICAL_FAILURE
         assert sol.iterations == 1
 
@@ -199,33 +221,45 @@ class TestSolverProperties:
         assert sol.iterations == 26
 
 
-def dense_constraints(problem):
-    """Each A_i as a dense matrix, taken to face coordinates V^T A_i V on a face."""
+def dense_constraints(dim, constraints, basis=None):
+    """Each A_i as a dense matrix, taken to face coordinates V^T A_i V when
+    given a face basis V."""
     mats = []
-    for entries, _ in problem.constraints:
-        a = np.zeros((problem.dim, problem.dim))
+    for entries, _ in constraints:
+        a = np.zeros((dim, dim))
         for r, c, value in entries:
             a[r, c] = a[c, r] = value
-        face = problem.face
-        mats.append(a if face is None else face.basis.T @ a @ face.basis)
+        mats.append(a if basis is None else basis.T @ a @ basis)
     return mats
 
 
 class TestConstraintMap:
     def instances(self, fig3, corpora):
+        """(operator, its A_i as dense matrices) for each operator checked."""
         g = corpora[10][179]
-        cost = np.zeros((g.n, g.n))
-        cost[0, 1] = cost[1, 0] = -1.0
         face = clique_face(g, 4)
-        lp, *_ = diagonal_lp_instance(np.random.default_rng(5), 6, 4)
-        return [build_svcn(fig3), build_cost_sdp(g, 4, cost),
-                SdpProblem(g.n, cost, face.constraints, face), lp,
-                build_svcn(generate_ktree(4, 30, 20240811)[0])]
+        tree = generate_ktree(4, 30, 20240811)[0]
+        maps = [(fig3.n + 1, build_svcn(fig3)), (g.n, build_cost_sdp(g, 4)),
+                (6, diagonal_lp_instance(np.random.default_rng(5), 6, 4)[0]),
+                (tree.n + 1, build_svcn(tree))]
+        pairs = [(ConstraintMap(dim, cons), dense_constraints(dim, cons)) for dim, cons in maps]
+        return pairs + [(face, dense_constraints(g.n, face.constraints, face.basis))]
 
-    def test_schur_spans_several_blocks(self, fig3, corpora):
+    def test_constraint_validation(self):
+        with pytest.raises(ValueError):
+            ConstraintMap(2, [])
+        with pytest.raises(ValueError):
+            ConstraintMap(2, [([(2, 2, 1.0)], 1.0)])
+        with pytest.raises(ValueError):  # a cell listed twice in one constraint
+            ConstraintMap(2, [([(0, 1, 1.0), (0, 1, 2.0)], 1.0)])
+        with pytest.raises(ValueError):  # a face checks the constraints it is given
+            FaceMap(np.eye(2), ((((1, 0, 1.0),), 1.0),))  # r > c
+
+    def test_schur_spans_several_blocks(self):
         # the 30-vertex 3-tree's SVCN: its shared cells collapse, and what
         # is left still fills more than one row block of schur
-        ops = ConstraintMap(self.instances(fig3, corpora)[-1])
+        tree = generate_ktree(4, 30, 20240811)[0]
+        ops = ConstraintMap(tree.n + 1, build_svcn(tree))
         assert _SCHUR_BLOCK < ops.cell_p.size < ops.p.size
 
     def test_operators_match_dense_definitions(self, fig3, corpora):
@@ -234,12 +268,10 @@ class TestConstraintMap:
         def close(got, ref):
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-        for problem in self.instances(fig3, corpora):
-            ops = ConstraintMap(problem) if problem.face is None else problem.face
-            mats = dense_constraints(problem)
-            order = mats[0].shape[0]
+        for ops, mats in self.instances(fig3, corpora):
+            order = ops.order
             x, t = (symmetrize(rng.normal(size=(order, order))) for _ in range(2))
-            y = rng.normal(size=problem.m)
+            y = rng.normal(size=len(mats))
             close(ops.gather(x), np.array([np.sum(a * x) for a in mats]))
             close(ops.scatter(y), sum(yi * a for yi, a in zip(y, mats)))
             close(ops.schur(x, t),
@@ -248,7 +280,7 @@ class TestConstraintMap:
             close(ops.schur(eye, eye),
                   np.array([[np.sum(ai * aj) for aj in mats] for ai in mats]))
             # the feasibility restore lands on A(dx) = rp
-            rp = rng.normal(size=problem.m)
+            rp = rng.normal(size=len(mats))
             close(ops.gather(ops.restore(x, rp)), rp)
 
     def test_reused_face_solves_like_a_fresh_one(self, corpora):
@@ -289,41 +321,29 @@ class TestVerifyFeasibleDual:
         # cost matrix for coloring (1,2,1) has a single -1 chain link at (1,3)
         cost = np.zeros((3, 3))
         cost[0, 2] = cost[2, 0] = -1.0
-        problem = build_cost_sdp(g, 2, cost)
+        ops = ConstraintMap(g.n, build_cost_sdp(g, 2))
         assert g.edge_list() == [(1, 2), (2, 3)]  # the edge constraints' order
         y = np.array([-1.0, 0.0, -2.0, -1.0, -1.0])  # z_12, z_23, y_1, y_2, y_3
-        s, psd, dual_obj = verify_feasible_dual(problem, y)
+        s, psd, dual_obj = verify_feasible_dual(ops, cost, y)
         expected = np.array([[2.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.array_equal(s, expected)
         assert psd
         assert abs(dual_obj + 2.0) < 1e-12
 
     def test_zero_dual_with_psd_objective(self):
-        problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
-        s, psd, _ = verify_feasible_dual(problem, [0.0])
+        ops = ConstraintMap(2, [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
+        s, psd, _ = verify_feasible_dual(ops, np.eye(2), [0.0])
         assert psd and np.array_equal(s, np.eye(2))
 
     def test_negative_diagonal_detected(self):
-        problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0)], 1.0)])
-        _, psd, _ = verify_feasible_dual(problem, [2.0])
+        ops = ConstraintMap(2, [([(0, 0, 1.0)], 1.0)])
+        _, psd, _ = verify_feasible_dual(ops, np.eye(2), [2.0])
         assert not psd
 
     def test_wrong_length(self):
-        problem = SdpProblem.build(2, np.eye(2), [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
+        ops = ConstraintMap(2, [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
         with pytest.raises(ValueError):
-            verify_feasible_dual(problem, [1.0, 2.0])
-
-
-class TestSdpProblem:
-    def test_constraint_validation(self):
-        with pytest.raises(ValueError):
-            SdpProblem.build(2, np.eye(2), [])
-        with pytest.raises(ValueError):
-            SdpProblem.build(2, np.eye(2), [([(2, 2, 1.0)], 1.0)])
-        with pytest.raises(ValueError):  # a cell listed twice in one constraint
-            SdpProblem.build(2, np.eye(2), [([(0, 1, 1.0), (0, 1, 2.0)], 1.0)])
-        with pytest.raises(ValueError):  # a face checks the constraints it is given
-            FaceMap(np.eye(2), ((((1, 0, 1.0),), 1.0),))  # r > c
+            verify_feasible_dual(ops, np.eye(2), [1.0, 2.0])
 
 
 def random_pd(rng, dim):

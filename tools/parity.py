@@ -2,7 +2,8 @@
 """Print the observable outputs of the heuristics and certificates, one run per block.
 
 For each corpus file and figure it runs both heuristics on every graph with a K_4
-and prints the status, solve count, final rank, coloring, classes and format_log.
+and prints the status, solve count, final rank, coloring, classes, the cause and
+vertex of a failure, and format_log.
 It can also print certify_cost on every K_4 graph of a corpus (with the oracle's
 coloring), certify_ktree on the 200 (k, n, seed) triples of acceptance
 criterion 3, and the SVCN solves of fig1 and of the 4-trees on 60, 80 and 100
@@ -61,7 +62,8 @@ def print_runs(label: str, g) -> None:
         coloring = "-" if out.coloring is None else ",".join(map(str, out.coloring.assignment))
         classes = " ".join("(" + ",".join(map(str, cls)) + ")" for cls in out.classes)
         print(f"run {label} h{algo} status={out.status} solves={out.solve_count}"
-              f" rank={out.final_rank} coloring={coloring} classes={classes}")
+              f" rank={out.final_rank} coloring={coloring} classes={classes}"
+              f" cause={out.cause or '-'} cause_vertex={out.cause_vertex}")
         if out.log:
             print(format_log(out.log))
 
