@@ -87,6 +87,8 @@ def _cmd_certify_ktree(args) -> int:
 def _cmd_certify_cost(args) -> int:
     g = _read_graph(args.graph)
     if args.colors is not None:
+        if args.colors < 2:
+            raise ValueError("palette size must be at least 2")
         colorings = enumerate_colorings(g, args.colors, limit=1)
         if not colorings:
             print(f"graph is not {args.colors}-colorable", file=sys.stderr)

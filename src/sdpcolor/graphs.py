@@ -447,10 +447,13 @@ def count_colorings(g: Graph, k: int, limit: int | None = None) -> int:
     """Number of proper k-colorings up to color permutation (vertex partitions).
 
     1 means uniquely k-colorable. `limit` stops early once that many partitions
-    are found, which keeps "is it unique?" checks cheap.
+    are found, which keeps "is it unique?" checks cheap; a limit below 1
+    raises ValueError.
     """
     if k < 1:
         raise ValueError("palette size must be positive")
+    if limit is not None and limit < 1:
+        raise ValueError(f"count limit must be at least 1, not {limit}")
     return _color_search(g, k, _search_order(g), limit, None)
 
 

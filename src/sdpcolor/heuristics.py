@@ -21,8 +21,11 @@ forever. A failed run reports the classes and rank of the iterate it kept.
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
-solve of the run reuses it; only the cost changes between solves. A solve
-must end optimal or inaccurate; any other status ends the run as solver-error.
+solve of the run reuses it; only the cost changes between solves. A run's
+first solve has a zero cost, so sdp.solve returns the first feasible iterate
+it reaches, an interior point of the face, as optimal with y = 0 and S = 0.
+A solve must end optimal or inaccurate; any other status ends the run as
+solver-error.
 
 A run ends colored after a solve whose iterate X gives a coloring: the
 anchor-aligned classes cover every vertex and form a proper 4-coloring, and

@@ -39,12 +39,16 @@ formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate; an iterate passes a tolerance when all three are within it.
-The loop has three exits; the status and the iteration count name the one
+The loop has four exits; the status and the iteration count name the one
 that fired:
 
 - optimal: the window at DEFAULT_TOL closed; the solve returns the passing
   iterate with the smallest X . S of the first one that passes and the
   iterate after it;
+- optimal, with y = 0 and S = 0: the objective is exactly zero, so (0, 0) is
+  an exact dual optimum and every feasible X is optimal; the solve returns
+  the first iterate whose relative primal residual is within DEFAULT_TOL.
+  like every iterate, it is positive definite in the operator's coordinates;
 - the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
   from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
   max-iterations, the last iterate;
@@ -316,7 +320,9 @@ class _Window:
     complementarity of optimal solves; the heuristics read no rank. A longer
     window moves none of the SVCN ranks on fig1 or on 4-trees of 60-100
     vertices, and near their degenerate optima its extra iterations are the
-    ones whose Schur matrix needs the LU fallback.
+    ones whose Schur matrix needs the LU fallback. A zero objective never
+    opens the window: its first feasible iterate ends the solve with the
+    exact dual pair (0, 0), whose X . S is 0.
     """
 
     def __init__(self, tol: float):
@@ -382,9 +388,15 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         return rp, rd, pobj, dobj, rel_p, rel_d, rel_gap
 
     center_next = False
+    zero_objective = not c.any()
 
     for it in range(1, DEFAULT_MAX_ITER + 1):
         rp, rd, _, _, rel_p, rel_d, rel_gap = measure(x, y, s)
+        if zero_objective and rel_p <= DEFAULT_TOL:
+            # (0, 0) is an exact dual optimum of C = 0, so any feasible X is optimal
+            y, s = np.zeros(b.size), np.zeros((ell, ell))
+            status = OPTIMAL
+            break
         relaxed.offer(x, y, s, rel_p, rel_d, rel_gap)
         strict.offer(x, y, s, rel_p, rel_d, rel_gap)
         if strict.closed:

@@ -117,6 +117,17 @@ class TestExitCodes:
         assert code == 0
         assert "verdict: True" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--count-limit", "0"],  # would count no partition at all
+        ["certify-cost", "--colors", "1"],
+        ["certify-cost", "--colors", "0"],
+    ])
+    def test_unusable_count_refused(self, capsys, argv):
+        assert cli_main(argv + ["--graph", "fig4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestBatchCommand:
     def test_batch_text_output(self, capsys):

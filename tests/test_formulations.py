@@ -14,7 +14,7 @@ from sdpcolor.formulations import (
 )
 from sdpcolor.graphs import Coloring, Graph, chromatic_oracle, generate_ktree
 from sdpcolor.linalg import numerical_rank
-from sdpcolor.sdp import ConstraintMap, solve
+from sdpcolor.sdp import OPTIMAL, ConstraintMap, solve
 from test_sdp import svcn_instance
 
 
@@ -110,8 +110,11 @@ class TestBuildCostSdp:
         assert len(build_cost_sdp(fig3, 4)) == len(fig3.edges) + fig3.n
 
     def test_zero_cost_objective(self):
+        # the unreduced SDP has no interior, but its first feasible iterate
+        # still ends a zero-objective solve
         g = complete_graph(4)
         sol = solve(ConstraintMap(g.n, build_cost_sdp(g, 4)), np.zeros((4, 4)))
+        assert (sol.status, sol.iterations, sol.lu_steps) == (OPTIMAL, 5, 0)
         assert abs(sol.primal_obj) <= 1e-7
 
     def test_coloring_cost_objective_is_cost_sum(self):

@@ -200,6 +200,8 @@ class TestOracles:
 
     def test_count_limit(self):
         assert count_colorings(cycle_graph(6), 3, limit=2) == 2
+        with pytest.raises(ValueError, match="at least 1"):
+            count_colorings(cycle_graph(6), 3, limit=0)
 
     def test_c5_with_three_colors(self):
         # partitions of C_5 into <= 3 independent sets: pick the doubled-up

@@ -23,7 +23,7 @@ from sdpcolor.graphs import (
     is_ktree,
     parse_plantri_ascii,
 )
-from sdpcolor.linalg import min_eigenvalue, symmetrize
+from sdpcolor.linalg import min_eigenvalue, numerical_rank, symmetrize
 from sdpcolor.sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -156,9 +156,27 @@ class TestSolverProperties:
             assert summary.solution.iterations <= max_iterations
 
     def test_infeasible_problem_degrades_gracefully(self):
-        # X_11 = -1 contradicts positive semidefiniteness
-        sol = solve(ConstraintMap(2, [([(0, 0, 1.0)], -1.0)]), np.eye(2))
-        assert sol.status == MAX_ITERATIONS
+        # X_11 = -1 contradicts positive semidefiniteness; with a zero
+        # objective too, no iterate is ever feasible, so both run to the cap
+        ops = ConstraintMap(2, [([(0, 0, 1.0)], -1.0)])
+        for objective in (np.eye(2), np.zeros((2, 2))):
+            sol = solve(ops, objective)
+            assert (sol.status, sol.iterations) == (MAX_ITERATIONS, DEFAULT_MAX_ITER)
+
+    def test_zero_objective_ends_at_its_first_feasible_iterate(self, fig3):
+        # C = 0 makes (y, S) = (0, 0) an exact dual optimum. K_4's clique face
+        # is a point (d = 3, m = 6) that one step lands on; fig3's is not. The
+        # iterate is positive definite on the face, so its rank is the order.
+        for g, order, iterations in ((complete_graph(4), 3, 1), (fig3, 9, 2)):
+            face = clique_face(g, 4)
+            sol = solve(face, np.zeros((order, order)))
+            assert (sol.status, sol.iterations, sol.lu_steps) == (OPTIMAL, iterations, 0)
+            assert not sol.y.any() and not sol.S.any()
+            assert sol.primal_obj == sol.dual_obj == 0.0
+            scale = 1.0 + np.max(np.abs(face.b))
+            assert np.max(np.abs(face.b - face.gather(sol.X))) <= DEFAULT_TOL * scale
+            assert min_eigenvalue(sol.X) > 0.0
+            assert numerical_rank(sol.X) == order
 
     def test_objective_must_fit_the_operator(self, corpora):
         ops = ConstraintMap(2, [([(0, 0, 1.0), (1, 1, 1.0)], 1.0)])
