@@ -47,8 +47,9 @@ that fired:
   iterate after it;
 - optimal, with y = 0 and S = 0: the objective is exactly zero, so (0, 0) is
   an exact dual optimum and every feasible X is optimal; the solve returns
-  the first iterate whose relative primal residual is within DEFAULT_TOL.
-  like every iterate, it is positive definite in the operator's coordinates;
+  the first iterate whose relative primal residual is within DEFAULT_TOL,
+  which, like every iterate, is positive definite in the operator's
+  coordinates;
 - the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
   from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
   max-iterations, the last iterate;
