@@ -138,12 +138,15 @@ def run_batch(corpus_text: str, algo: int, jobs: int = 1,
     corpus's sha256 and the columns, then holds the CSV line (BatchRow.to_csv)
     of each finished graph, written and flushed as each arrives. A rerun with
     the same file keeps the stored rows and runs only the missing graphs. A
-    max_solves below 1 raises ValueError before the checkpoint is touched.
+    max_solves or jobs below 1 raises ValueError before the checkpoint is
+    touched. At most one worker process runs per graph left to run.
     """
     if algo not in (1, 2):
         raise ValueError("algo must be 1 or 2")
     if max_solves is not None and max_solves < 1:
         raise ValueError(f"max_solves must be at least 1, not {max_solves}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     lines = corpus_text.splitlines()
     for _ in iter_plantri_ascii(lines):  # a malformed line raises before any run
         pass
@@ -151,10 +154,11 @@ def run_batch(corpus_text: str, algo: int, jobs: int = 1,
     if checkpoint:
         done = _resume(checkpoint, _checkpoint_header(corpus_text, algo, max_solves))
     graph_lines = (line for line in lines if line.strip())
-    tasks = ((index, line, algo, max_solves) for index, line in enumerate(graph_lines)
-             if index not in done)
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
+    tasks = [(index, line, algo, max_solves) for index, line in enumerate(graph_lines)
+             if index not in done]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             fresh = _collect(pool.imap(_run_one, tasks, chunksize=1), checkpoint)
     else:
         fresh = _collect(map(_run_one, tasks), checkpoint)

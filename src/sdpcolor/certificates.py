@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .formulations import (
+    chain_cost,
     clique_face,
     extract_coloring,
     reference_solution,
@@ -168,11 +169,7 @@ def coloring_cost_matrix(g: Graph, c: Coloring) -> np.ndarray:
     """
     if not validate_coloring(g, c):
         raise ValueError("coloring is not proper for this graph")
-    cost = np.zeros((g.n, g.n))
-    for cls in c.classes():
-        for a, b in zip(cls, cls[1:]):
-            cost[a - 1, b - 1] = cost[b - 1, a - 1] = -1.0
-    return cost
+    return chain_cost(g.n, c.classes())
 
 
 def _require_clique(g: Graph, clique, size: int) -> tuple:

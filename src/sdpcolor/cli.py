@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from . import fixtures
 from .batch import emit_report, run_batch
 from .certificates import (
     blend_colorings,
@@ -18,6 +16,7 @@ from .certificates import (
     certify_ktree,
     independent_cost,
 )
+from .fixtures import path_or_fixture_text
 from .formulations import reference_solution, solve_svcn
 from .graphs import (
     GraphParseError,
@@ -39,15 +38,7 @@ import numpy as np
 
 def _read_graph(path: str):
     """Load a graph from a file path or a shipped fixture name."""
-    file = Path(path)
-    if file.exists():
-        text = file.read_text()
-    else:
-        name = path if path.endswith(".edges") else path + ".edges"
-        try:
-            text = fixtures.fixture_text(name)
-        except FileNotFoundError:
-            raise FileNotFoundError(f"no such graph file or fixture: {path}")
+    text = path_or_fixture_text(path)
     first = next(
         (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
         "",
@@ -125,7 +116,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    text = Path(args.corpus).read_text()
+    text = path_or_fixture_text(args.corpus)
     report = run_batch(text, args.algo, jobs=args.jobs, max_solves=args.budget,
                        checkpoint=args.checkpoint)
     sys.stdout.write(emit_report(report, args.format))
@@ -156,11 +147,16 @@ def _cmd_gen_ktree(args) -> int:
 def _cmd_blend(args) -> int:
     g = _read_graph(args.graph)
     k = args.colors
+    if k < 2:
+        raise ValueError("palette size must be at least 2")
     clique = find_clique(g, k)
     if clique is None:
         print(f"graph has no K_{k}", file=sys.stderr)
         return 1
     colorings = enumerate_colorings(g, k, limit=2)
+    if not colorings:
+        print(f"graph is not {k}-colorable", file=sys.stderr)
+        return 1
     if len(colorings) < 2:
         print("graph is uniquely colorable; nothing to blend", file=sys.stderr)
         return 1

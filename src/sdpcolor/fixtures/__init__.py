@@ -8,6 +8,7 @@ in plantri ascii format, regenerable with tools/generate_corpora.py.
 from __future__ import annotations
 
 from importlib.resources import files
+from pathlib import Path
 
 from ..graphs import Graph, parse_edge_list, parse_plantri_ascii
 
@@ -21,6 +22,19 @@ def fixture_text(name: str) -> str:
 
 def fixture_path(name: str) -> str:
     return str(files(__package__) / name)
+
+
+def path_or_fixture_text(name: str) -> str:
+    """The text of the file at path name, or else of the shipped fixture name.
+
+    A figure's name may leave out its ".edges" suffix (fig5).
+    """
+    if Path(name).is_file():
+        return Path(name).read_text()
+    for fixture in (name, name + ".edges"):
+        if (files(__package__) / fixture).is_file():
+            return fixture_text(fixture)
+    raise FileNotFoundError(f"no such file or shipped fixture: {name}")
 
 
 def load_figure(name: str) -> Graph:

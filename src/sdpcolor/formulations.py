@@ -67,6 +67,15 @@ def build_cost_sdp(g: Graph, k: int) -> tuple:
     return tuple(constraints)
 
 
+def chain_cost(n: int, classes) -> np.ndarray:
+    """The n x n cost with -1 linking consecutive members of each class, as listed."""
+    cost = np.zeros((n, n))
+    for members in classes:
+        for a, b in zip(members, members[1:]):
+            cost[a - 1, b - 1] = cost[b - 1, a - 1] = -1.0
+    return cost
+
+
 def reference_solution(g: Graph, c: Coloring) -> np.ndarray:
     """Gram matrix of the recursively constructed simplex vectors.
 

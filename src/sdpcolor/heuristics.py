@@ -2,22 +2,24 @@
 
 Both heuristics grow color classes anchored at a K_4 by repeatedly solving the
 cost SDP. A try picks an unaligned vertex v and an anchor, sets the cost to a
-base plus one -1 link from v, and re-solves; it is kept if v aligned with the
-anchor, and otherwise the base is restored and solved again. They differ only
-in the link: the first links v to the last member of the anchor's class on a
-base that chains consecutive members of the classes as they stand, the second
-links v straight to its anchor on the current cost.
+base plus one -1 link from v, and re-solves. It is judged right after that
+solve: it is kept if v aligned with the anchor, and otherwise the base is
+restored and solved again. They differ only in the link: the first links v to
+the last member of the anchor's class on a base that chains consecutive members
+of the classes as they stand, the second links v straight to its anchor on the
+current cost.
 
 The original procedure loops forever when no vertex can be colored; here a
 failed run names which of four causes ended it: the scanned vertex has
 exhausted all four anchors (exhausted), a full cyclic pass finds nothing
 admissible (no-admissible), the state at try selection repeats (cycle), or
-the solve budget is spent (budget). That state, taken when the scan has
-picked a try, is the cost, the scanned vertex and the anchors ruled out for
-it. The solver is deterministic and a rejected try restores the base it
-started from, so the iterate, and with it everything the run does next, is a
-function of that state: a state seen twice proves that the run repeats itself
-forever. A failed run reports the classes and rank of the iterate it kept.
+the solve budget, checked before each solve, is spent (budget). That state,
+taken when the scan has picked a try, is the cost, the scanned vertex and the
+anchors ruled out for it. The solver is deterministic and a rejected try
+restores the base it started from, so the iterate, and with it everything the
+run does next, is a function of that state: a state seen twice proves that
+the run repeats itself forever. A failed run reports the classes and rank of
+the iterate it kept, never a rejected try's.
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
@@ -25,7 +27,8 @@ solve of the run reuses it; only the cost changes between solves. A run's
 first solve has a zero cost, so sdp.solve returns the first feasible iterate
 it reaches, an interior point of the face, as optimal with y = 0 and S = 0.
 A solve must end optimal or inaccurate; any other status ends the run as
-solver-error.
+solver-error, with the classes and rank of the last iterate solved (none and
+-1 if it was the first).
 
 A run ends colored after a solve whose iterate X gives a coloring: the
 anchor-aligned classes cover every vertex and form a proper 4-coloring, and
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulations import clique_face, reference_solution, solve_cost
+from .formulations import chain_cost, clique_face, reference_solution, solve_cost
 from .graphs import Coloring, Graph, find_clique, validate_coloring
 from .linalg import numerical_rank
 from .sdp import FaceMap
@@ -151,28 +154,6 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
     def aligned(x, v, a):
         return abs(x[v - 1, a - 1] - 1.0) <= ALIGN_TOL
 
-    def classes_from(x):
-        """Per anchor, the vertices aligned with it, in vertex order."""
-        classes = {a: [] for a in anchors}
-        for v in g.vertices():
-            for a in anchors:
-                if aligned(x, v, a):
-                    classes[a].append(v)
-                    break
-        return tuple(tuple(classes[a]) for a in anchors)
-
-    def run_solver(cost):
-        """The iterate x of cost, its logged rank and its classes."""
-        nonlocal solves
-        if solves == budget:
-            raise _BudgetExceeded()
-        solves += 1
-        x, rank = solve_modified(face, cost)
-        return x, rank, classes_from(x)
-
-    def record(vertex, anchor_idx, action, rank):
-        log.append(LogEntry(len(log) + 1, vertex, anchor_idx, action, rank))
-
     def colored(cost, x, classes):
         """The coloring the classes give, if it ends the run (module docstring)."""
         assignment = [0] * n
@@ -189,36 +170,31 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
             return None
         return coloring
 
+    def solve(cost, vertex, anchor_idx, action):
+        """Solve cost and log it; the iterate, its rank, its classes and coloring.
+
+        A class holds the vertices aligned with its anchor, in vertex order. The
+        anchors are pairwise at -1/3, so no vertex aligns with two of them.
+        """
+        nonlocal solves
+        solves += 1
+        x, rank = solve_modified(face, cost)
+        log.append(LogEntry(len(log) + 1, vertex, anchor_idx, action, rank))
+        classes = tuple(tuple(v for v in g.vertices() if aligned(x, v, a)) for a in anchors)
+        return x, rank, classes, colored(cost, x, classes)
+
     def finish(status, classes, rank, coloring=None, cause=None, cause_vertex=0):
         return HeuristicOutcome(status, coloring, classes, rank, solves, tuple(log),
                                 cause, cause_vertex)
 
+    classes, rank = ((),) * 4, -1
     cost = np.zeros((n, n))
-    try:
-        x, rank, classes = run_solver(cost)
-    except SolverError:
-        return finish(SOLVER_ERROR, ((), (), (), ()), -1)
-    record(0, 0, "rebuild", rank)
-
     scan = 1
     badcolors: set = set()
     seen: set = set()  # states at try selection (module docstring)
-    pending = None  # (vertex, anchor index, base cost) of the try to judge
-
     try:
-        while (coloring := colored(cost, x, classes)) is None:
-            if pending is not None:
-                v, q, base = pending
-                pending = None
-                if aligned(x, v, anchors[q - 1]):
-                    record(v, q, "accept", rank)
-                else:
-                    cost = base
-                    badcolors.add(anchors[q - 1])
-                    x, rank, classes = run_solver(cost)
-                    record(v, q, "reject", rank)
-                    continue
-
+        x, rank, classes, coloring = solve(cost, 0, 0, "rebuild")
+        while coloring is None:
             covered = {v for members in classes for v in members}
             found = None
             for _ in range(n + 1):
@@ -246,30 +222,31 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
             if state in seen:
                 return finish(FAILED, classes, rank, cause=CYCLE)
             seen.add(state)
-            kept = (classes, rank)  # a budget stop reports these, not a rejected try's
+            if solves == budget:
+                return finish(FAILED, classes, rank, cause=BUDGET)
             if chained:
                 link = classes[q - 1][-1]
-                base = np.zeros((n, n))
-                for members in classes:
-                    for r, s in zip(members, members[1:]):
-                        base[r - 1, s - 1] = base[s - 1, r - 1] = -1.0
+                base = chain_cost(n, classes)
             else:
                 link = anchors[q - 1]
                 base = cost.copy()
                 base[v - 1, link - 1] = base[link - 1, v - 1] = 0.0
             cost = base.copy()
             cost[v - 1, link - 1] = cost[link - 1, v - 1] = -1.0
-            pending = (v, q, base)
-            x, rank, classes = run_solver(cost)
-            record(v, q, "try", rank)
+            kept = (classes, rank)  # a budget stop reports these, not a rejected try's
+            x, rank, classes, coloring = solve(cost, v, q, "try")
+            if coloring is not None:
+                break
+            if aligned(x, v, anchors[q - 1]):
+                log.append(LogEntry(len(log) + 1, v, q, "accept", rank))
+                continue
+            if solves == budget:
+                return finish(FAILED, *kept, cause=BUDGET)
+            cost = base
+            badcolors.add(anchors[q - 1])
+            x, rank, classes, coloring = solve(cost, v, q, "reject")
     except SolverError:
         return finish(SOLVER_ERROR, classes, rank)
-    except _BudgetExceeded:
-        return finish(FAILED, *kept, cause=BUDGET)
 
     # the reference Gram matrix of a coloring with all four colors has rank 3
     return finish(COLORED, classes, PALETTE - 1, coloring)
-
-
-class _BudgetExceeded(Exception):
-    pass

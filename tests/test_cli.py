@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sdpcolor import batch, fixtures
 from sdpcolor.batch import BatchReport, BatchRow, emit_report, run_batch
 from sdpcolor.cli import build_parser, cli_main
 from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text, load_corpus, load_figure
@@ -105,6 +106,20 @@ class TestExitCodes:
         assert code == 0
         assert "blend_rank=" in out
 
+    @pytest.mark.parametrize("colors", ["2", "3"])
+    def test_blend_without_a_coloring(self, capsys, colors):
+        # fig5 has chromatic number 4: no 2- or 3-coloring, so none to blend
+        code = cli_main(["blend", "--graph", "fig5", "--colors", colors])
+        assert code == 1
+        assert capsys.readouterr().err == f"graph is not {colors}-colorable\n"
+
+    def test_blend_with_one_coloring(self, capsys, tmp_path):
+        path = tmp_path / "k4.edges"
+        path.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+        code = cli_main(["blend", "--graph", str(path)])
+        assert code == 1
+        assert "uniquely colorable" in capsys.readouterr().err
+
     def test_independent_cost(self, capsys):
         code = cli_main(["independent-cost", "--graph", fixture_path("fig3.edges")])
         out = capsys.readouterr().out
@@ -121,6 +136,7 @@ class TestExitCodes:
         ["oracle", "--count-limit", "0"],  # would count no partition at all
         ["certify-cost", "--colors", "1"],
         ["certify-cost", "--colors", "0"],
+        ["blend", "--colors", "1"],
     ])
     def test_unusable_count_refused(self, capsys, argv):
         assert cli_main(argv + ["--graph", "fig4"]) == 2
@@ -156,6 +172,51 @@ class TestBatchCommand:
         assert code == 2
         assert "max_solves" in capsys.readouterr().err
         assert not ck.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_batch_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
+        ck = tmp_path / "progress"
+        code = cli_main([
+            "batch", "--corpus", fixture_path(corpus_name(7)), "--algo", "1",
+            "--jobs", jobs, "--checkpoint", str(ck),
+        ])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not ck.exists()
+
+    def test_pool_starts_no_more_workers_than_graphs_left(self, monkeypatch, tmp_path):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks, chunksize=1):
+                return map(func, tasks)
+
+        monkeypatch.setattr(batch, "Pool", RecordingPool)
+        text = fixture_text(corpus_name(7))  # five graphs, four with a K_4
+        ck = tmp_path / "progress"
+        run_batch(text, 1, jobs=64, checkpoint=str(ck))
+        run_batch(text, 1, jobs=3)
+        run_batch(text, 1, jobs=64, checkpoint=str(ck))  # nothing left to run
+        assert started == [5, 3]
+        ck.write_text("".join(ck.read_text().splitlines(keepends=True)[:3]))
+        run_batch(text, 1, jobs=64, checkpoint=str(ck))  # two rows kept, three left
+        assert started == [5, 3, 3]
+
+    def test_batch_corpus_by_shipped_name(self, capsys):
+        argv = ["--algo", "1"]
+        assert cli_main(["batch", "--corpus", fixture_path(corpus_name(6)), *argv]) == 0
+        by_path = capsys.readouterr().out
+        assert cli_main(["batch", "--corpus", corpus_name(6), *argv]) == 0
+        assert capsys.readouterr().out == by_path
 
     def test_batch_csv_row_count(self, capsys):
         code = cli_main([
@@ -262,6 +323,18 @@ class TestBatchCommand:
         assert [(r.index, r.status, r.solves) for r in a.rows] == [
             (r.index, r.status, r.solves) for r in b.rows
         ]
+
+
+class TestPathOrFixture:
+    def test_a_path_comes_before_a_shipped_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("fig5.edges").write_text("2 1\n1 2\n")
+        assert fixtures.path_or_fixture_text("fig5.edges") == "2 1\n1 2\n"
+        assert fixtures.path_or_fixture_text("fig5") == fixture_text("fig5.edges")
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(FileNotFoundError, match="no_such_graph"):
+            fixtures.path_or_fixture_text("no_such_graph")
 
 
 class TestEmitReport:

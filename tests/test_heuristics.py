@@ -12,6 +12,7 @@ from conftest import complete_graph, path_graph
 from sdpcolor.certificates import certify_cost
 from sdpcolor.formulations import clique_face
 from sdpcolor.fixtures import fixture_text
+from sdpcolor import heuristics
 from sdpcolor.graphs import enumerate_cliques, find_clique, parse_plantri_ascii, validate_coloring
 from sdpcolor.heuristics import (
     BUDGET,
@@ -19,7 +20,9 @@ from sdpcolor.heuristics import (
     CYCLE,
     EXHAUSTED,
     FAILED,
+    SOLVER_ERROR,
     HeuristicOutcome,
+    SolverError,
     format_log,
     heuristic1,
     heuristic2,
@@ -229,6 +232,69 @@ class TestHeuristicRuns:
             assert all(part.split("=")[0] in
                        ("step", "vertex", "anchor", "action", "rank")
                        for part in line.split())
+
+
+def kept_rank(log) -> int:
+    """The rank of the iterate a run keeps: a try still in judgement is not kept."""
+    return log[-2].rank if log[-1].action == "try" else log[-1].rank
+
+
+class TestBudgetAndSolverError:
+    """Every budget cut and every failing solve, on the three figures and both heuristics."""
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("runner", [heuristic1, heuristic2])
+    def test_budget_stops_at_every_cut(self, request, name, runner):
+        g = request.getfixturevalue(name)
+        full = runner(g)
+        solves = full.solve_count
+        for budget in range(1, solves + 2):
+            out = runner(g, max_solves=budget)
+            assert out.log == full.log[:len(out.log)]
+            if budget >= solves:
+                assert out == full
+                continue
+            assert (out.status, out.cause, out.cause_vertex) == (FAILED, BUDGET, 0)
+            assert out.solve_count == budget
+            assert sum(e.action != "accept" for e in out.log) == budget
+            assert out.final_rank == kept_rank(out.log)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5"])
+    @pytest.mark.parametrize("runner", [heuristic1, heuristic2])
+    def test_solver_error_at_every_solve(self, request, monkeypatch, name, runner):
+        g = request.getfixturevalue(name)
+        solve = heuristics.solve_modified
+        iterates = []
+
+        def spy(face, cost):
+            iterates.append(solve(face, cost))
+            return iterates[-1]
+
+        monkeypatch.setattr(heuristics, "solve_modified", spy)
+        full = runner(g)
+        anchors = find_clique(g, 4)
+        solve_steps = [i for i, e in enumerate(full.log) if e.action != "accept"]
+        for k in range(1, full.solve_count + 1):
+            calls = []
+
+            def failing(face, cost):
+                calls.append(k)
+                if len(calls) == k:
+                    raise SolverError("injected")
+                return solve(face, cost)
+
+            monkeypatch.setattr(heuristics, "solve_modified", failing)
+            out = runner(g)
+            assert (out.status, out.solve_count, out.coloring) == (SOLVER_ERROR, k, None)
+            assert out.log == full.log[:solve_steps[k - 1]]
+            if k == 1:
+                assert (out.classes, out.final_rank) == (((),) * 4, -1)
+                continue
+            x, rank = iterates[k - 2]  # the last iterate solved
+            assert out.final_rank == rank
+            assert out.classes == tuple(
+                tuple(v for v in g.vertices() if abs(x[v - 1, a - 1] - 1.0) <= 1e-4)
+                for a in anchors)
 
 
 class TestFinalizeCertificate:

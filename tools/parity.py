@@ -34,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sdpcolor.certificates import certify_cost, certify_ktree  # noqa: E402
-from sdpcolor.fixtures import CORPUS_RANGE, corpus_name, fixture_text, load_figure  # noqa: E402
+from sdpcolor.fixtures import CORPUS_RANGE, corpus_name, load_figure, path_or_fixture_text  # noqa: E402
 from sdpcolor.formulations import solve_svcn  # noqa: E402
 from sdpcolor.graphs import chromatic_oracle, find_clique, generate_ktree, iter_plantri_ascii  # noqa: E402
 from sdpcolor.heuristics import format_log, heuristic1, heuristic2  # noqa: E402
@@ -49,11 +49,10 @@ def k4_graphs(name: str):
 
     The graphs are parsed as they are drawn, so the corpus is never held as graphs.
     """
-    path = Path(name)
-    text = path.read_text() if path.is_file() else fixture_text(name)
+    text = path_or_fixture_text(name)
     for index, g in enumerate(iter_plantri_ascii(text.splitlines())):
         if find_clique(g, 4) is not None:
-            yield f"{path.name}#{index}", g
+            yield f"{Path(name).name}#{index}", g
 
 
 def print_runs(label: str, g) -> None:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sdpcolor.fixtures import fixture_text  # noqa: E402
+from sdpcolor.fixtures import path_or_fixture_text  # noqa: E402
 from sdpcolor.graphs import Graph, find_clique, iter_plantri_ascii, plantri_line  # noqa: E402
 
 
@@ -57,7 +57,7 @@ def main() -> None:
     if args.labelings < 1:
         parser.error(f"L must be at least 1, not {args.labelings}")
     path = Path(args.corpus)
-    text = path.read_text() if path.is_file() else fixture_text(args.corpus)
+    text = path_or_fixture_text(args.corpus)
     args.outdir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         names = (f"{path.stem}_seed{args.seed}_l{k}.txt" for k in range(args.labelings))
