@@ -9,10 +9,10 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import complete_graph, path_graph
+from sdpcolor import heuristics
 from sdpcolor.certificates import certify_cost
 from sdpcolor.formulations import clique_face
 from sdpcolor.fixtures import fixture_text
-from sdpcolor import heuristics
 from sdpcolor.graphs import enumerate_cliques, find_clique, parse_plantri_ascii, validate_coloring
 from sdpcolor.heuristics import (
     BUDGET,
@@ -278,7 +278,7 @@ class TestBudgetAndSolverError:
             calls = []
 
             def failing(face, cost):
-                calls.append(k)
+                calls.append(cost)
                 if len(calls) == k:
                     raise SolverError("injected")
                 return solve(face, cost)
