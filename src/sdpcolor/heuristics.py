@@ -18,8 +18,8 @@ taken when the scan has picked a try, is the cost, the scanned vertex and the
 anchors ruled out for it. The solver is deterministic and a rejected try
 restores the base it started from, so the iterate, and with it everything the
 run does next, is a function of that state: a state seen twice proves that
-the run repeats itself forever. A failed run reports the classes and rank of
-the iterate it kept, never a rejected try's.
+the run repeats itself forever. A failed or solver-error run reports the
+classes and rank of the iterate it kept, never a rejected try's.
 
 Each solve is a single call of sdp.solve on the cost SDP restricted to its
 clique face (formulations.solve_cost). A run builds that face once and every
@@ -27,8 +27,8 @@ solve of the run reuses it; only the cost changes between solves. A run's
 first solve has a zero cost, so sdp.solve returns the first feasible iterate
 it reaches, an interior point of the face, as optimal with y = 0 and S = 0.
 A solve must end optimal or inaccurate; any other status ends the run as
-solver-error, with the classes and rank of the last iterate solved (none and
--1 if it was the first).
+solver-error, with the classes and rank of the last iterate kept (none and
+-1 if it was the first solve).
 
 A run ends colored after a solve whose iterate X gives a coloring: the
 anchor-aligned classes cover every vertex and form a proper 4-coloring, and
@@ -233,15 +233,16 @@ def _run(g: Graph, chained: bool, max_solves: int | None) -> HeuristicOutcome:
                 base[v - 1, link - 1] = base[link - 1, v - 1] = 0.0
             cost = base.copy()
             cost[v - 1, link - 1] = cost[link - 1, v - 1] = -1.0
-            kept = (classes, rank)  # a budget stop reports these, not a rejected try's
+            kept = (classes, rank)
             x, rank, classes, coloring = solve(cost, v, q, "try")
             if coloring is not None:
                 break
             if aligned(x, v, anchors[q - 1]):
                 log.append(LogEntry(len(log) + 1, v, q, "accept", rank))
                 continue
+            classes, rank = kept  # a stop before the re-solve reports these
             if solves == budget:
-                return finish(FAILED, *kept, cause=BUDGET)
+                return finish(FAILED, classes, rank, cause=BUDGET)
             cost = base
             badcolors.add(anchors[q - 1])
             x, rank, classes, coloring = solve(cost, v, q, "reject")

@@ -13,8 +13,8 @@ coordinates. The caller picks the operator:
   A*(y) a scatter over them, so no constraint is a dense matrix (at n = 100 a
   dense operator would be 394 x 10,201). The Schur matrix is G K G^T over the
   distinct cells the entries touch (689 for those 982 entries), with the
-  cell-pair products K gathered and reduced through G in row blocks, so no
-  cells x cells array is built;
+  symmetric cell-pair products K gathered and reduced through G in column
+  blocks, so no cells x cells array is built;
 - with a face (FaceMap, basis V of d columns), the variable is restricted to
   X = V W V^T and the solver works in W. There every V^T A_i V is a dense
   d x d matrix, so FaceMap holds them as the rows of one m x d^2 operator and
@@ -28,14 +28,19 @@ the dense m x m Schur complement each iteration by direct LAPACK calls:
 dpotrf/dpotrs, whose solution is used as it is, or, when dpotrf finds a
 leading minor that is not positive definite (near some optima the matrix
 turns numerically singular), a jittered LU (dgetrf/dgetrs), whose solutions
-alone are iteratively refined; lu_steps counts those iterations. A step
-length to the PSD boundary is -1/lambda_min of the pencil (dP, P), P = X or
-S, from one dsygv call; when P's Cholesky fails, an eigh of P gives the
-eigenvalues instead. It is deterministic. It assumes independent constraints
-and a feasible set with an interior: when the interior is empty, steps shrink
-toward the boundary and the solve can run to the iteration cap. Pose such a
-problem on the FaceMap of the face that holds its feasible set, as
-formulations.clique_face does for the cost SDP.
+alone are iteratively refined; lu_steps counts those iterations. X and S
+are Cholesky-factored (dpotrf) once per iterate, and every later step reuses
+the factors. S^-1 comes from S's factor (dtrtri, then L^-T L^-1) and is
+symmetrized, so it is exactly symmetric, and the Schur matrix and the search
+direction share it. A step length to the PSD boundary is -1/lambda_min of
+the pencil (dP, P), P = X or S, and it needs only that smallest eigenvalue:
+dsygst reduces the pencil with P's factor and dsyevx computes it alone. When
+a Cholesky fails, np.linalg.inv gives S^-1 (symmetrized) and an eigh of P
+the eigenvalues instead. It is deterministic. It assumes independent
+constraints and a feasible set with an interior: when the interior is empty,
+steps shrink toward the boundary and the solve can run to the iteration cap.
+Pose such a problem on the FaceMap of the face that holds its feasible set,
+as formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate; an iterate passes a tolerance when all three are within it.
@@ -79,7 +84,7 @@ _RELAXED = 10.0  # inaccurate: the window at _RELAXED * DEFAULT_TOL
 _REFINE_STEPS = 2
 _EPS = np.finfo(float).eps
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
-_SCHUR_BLOCK = 128  # rows of K gathered at a time by ConstraintMap.schur
+_SCHUR_BLOCK = 128  # columns of K gathered at a time by ConstraintMap.schur
 
 
 def _check_constraints(constraints, dim: int) -> None:
@@ -130,7 +135,10 @@ class ConstraintMap(_Operator):
     A_{i_s}[p_s, q_s] = c_s; gather and scatter work on them. The Schur matrix
     works on the distinct cells (p_u, q_u) that the entries touch: the sparse
     matrix G (m x cells) holds A_i[p_u, q_u] in row i, so a cell that many
-    constraints share (the SVCN's corner cell) is one column, not many.
+    constraints share (the SVCN's corner cell) is one column, not many. G
+    holds a cell and its transpose with the same value, so the Schur matrix
+    is G K G^T with a symmetric K of cell-pair products (see schur), and the
+    Gram matrix tr(A_i A_j) is G G^T.
     """
 
     def __init__(self, dim: int, constraints):
@@ -141,8 +149,7 @@ class ConstraintMap(_Operator):
         self.b = np.array([bi for _, bi in constraints])
         self.g = sparse.csr_matrix((self.coef, (self.row, col)), shape=(self.b.size, cells.size))
         self.order = dim
-        eye = np.eye(dim)
-        self.gram = _Factor(self.schur(eye, eye))
+        self.gram = _Factor((self.g @ self.g.T).toarray())
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """A(X)_i = sum over entries s of constraint i of c_s X[p_s, q_s]."""
@@ -156,21 +163,22 @@ class ConstraintMap(_Operator):
     def schur(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """M_ij = tr(A_i X A_j T), X and T symmetric.
 
-        Cell v of A_i and cell u of A_j contribute G_iv G_ju K[v, u] with
-        K[v, u] = X[p_v, q_u] T[q_v, p_u] (both triangles are listed), so
-        M = G K G^T. K is gathered _SCHUR_BLOCK rows at a time, and each block
-        is reduced through G into its rows of the cells x m array K G^T; no
-        cells x cells array is built.
+        Cell v of A_i and cell u of A_j contribute G_iv G_ju X[p_v, q_u]
+        T[q_v, p_u]. Both triangles are listed with the same value, so G
+        does not change when u is swapped for its transposed cell (q_u, p_u),
+        and M = G K G^T with K[v, u] = X[p_v, p_u] T[q_v, q_u], which is
+        symmetric. K is gathered _SCHUR_BLOCK columns at a time, each block
+        C-contiguous so that G reduces it without a copy, and the m x block
+        product G K[:, block] is the transpose of rows block of the cells x m
+        array K G^T; then M = G (K G^T). No cells x cells array is built.
         """
         p, q = self.cell_p, self.cell_q
-        xq = x[:, q]
-        tp = t[:, p]
         kg = np.empty((p.size, self.b.size))
         for lo in range(0, p.size, _SCHUR_BLOCK):
             block = slice(lo, lo + _SCHUR_BLOCK)
-            k = np.take(xq, p[block], axis=0)
-            k *= np.take(tp, q[block], axis=0)
-            kg[block] = (self.g @ k.T).T
+            k = np.take(x[:, p[block]], p, axis=0)
+            k *= np.take(t[:, q[block]], q, axis=0)
+            kg[block] = (self.g @ k).T
         return self.g @ kg
 
 
@@ -254,18 +262,19 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum())
 
 
-def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
+def _max_step(p: np.ndarray, chol: np.ndarray | None, dp: np.ndarray) -> float:
     """Largest alpha with p + alpha*dp still PSD (p assumed PD).
 
     The step is -1/lambda_min of the pencil (dp, p), whose eigenvalues are
-    those of L^-1 dp L^-T for the Cholesky factor L of p; LAPACK's dsygv
-    factors p, reduces the pencil and takes its eigenvalues in one call. When
-    that Cholesky fails, the eigenvalues are those of p^-1/2 dp p^-1/2 with
-    p's spectrum clipped away from zero.
+    those of L^-1 dp L^-T for p's Cholesky factor chol = L: dsygst forms that
+    matrix from L, and dsyevx takes its smallest eigenvalue alone. When p's
+    Cholesky failed (chol is None), the eigenvalues are those of
+    p^-1/2 dp p^-1/2 with p's spectrum clipped away from zero.
     """
-    w, _, info = lapack.dsygv(dp, p, itype=1, jobz="N")
-    if info == 0:
-        lam = float(w[0])
+    if chol is not None:
+        c = lapack.dsygst(dp, chol, itype=1, lower=1)[0]
+        lam = float(lapack.dsyevx(c, compute_v=0, range="I", il=1, iu=1, lower=1,
+                                  overwrite_a=1)[0][0])
     else:
         w, q = np.linalg.eigh(p)
         w = np.clip(w, w[-1] * 1e-14 if w[-1] > 0 else 1e-300, None)
@@ -274,6 +283,28 @@ def _max_step(p: np.ndarray, dp: np.ndarray) -> float:
     if lam >= -1e-13:
         return np.inf
     return -1.0 / lam
+
+
+def _cholesky(p: np.ndarray) -> np.ndarray | None:
+    """p's lower Cholesky factor, its upper triangle zero; None when dpotrf fails."""
+    chol, info = lapack.dpotrf(p, lower=1)
+    return chol if info == 0 else None
+
+
+def _inverse(s: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
+    """S^-1, exactly symmetric: L^-T L^-1 from S's factor chol = L, or
+    np.linalg.inv when S's Cholesky failed (chol is None), which raises
+    LinAlgError on a singular S.
+
+    These are dpotri's two steps, dtrtri and then the product, but with
+    numpy's product (dsyrk, as one operand is the other's transpose):
+    OpenBLAS's dlauum, which dpotri calls, rounds differently with more than
+    one thread even at order 5, so a solve would depend on the thread count.
+    """
+    if chol is None:
+        return symmetrize(np.linalg.inv(s))
+    inv_l = lapack.dtrtri(chol, lower=1)[0]
+    return symmetrize(inv_l.T @ inv_l)
 
 
 class _Factor:
@@ -406,9 +437,10 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
             break
         iterations = it
 
+        x_chol, s_chol = _cholesky(x), _cholesky(s)
         try:
-            s_inv = np.linalg.inv(s)
-            schur = _Factor(symmetrize(ops.schur(x, symmetrize(s_inv))))
+            s_inv = _inverse(s, s_chol)
+            schur = _Factor(symmetrize(ops.schur(x, s_inv)))
             lu_steps += schur._cho is None
 
             xs = x @ s
@@ -429,8 +461,8 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
                 dx, dy, ds = direction(mu * eye - xs)
             else:
                 dx_a, dy_a, ds_a = direction(-xs)
-                ap_a = min(1.0, gamma * _max_step(x, dx_a))
-                ad_a = min(1.0, gamma * _max_step(s, ds_a))
+                ap_a = min(1.0, gamma * _max_step(x, x_chol, dx_a))
+                ad_a = min(1.0, gamma * _max_step(s, s_chol, ds_a))
                 mu_aff = _inner(x + ap_a * dx_a, s + ad_a * ds_a) / ell
                 sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
                 rc = sigma * mu * eye - xs - dx_a @ ds_a
@@ -438,8 +470,8 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         except np.linalg.LinAlgError:  # S singular, or a direction not finite
             status = NUMERICAL_FAILURE
             break
-        alpha_p = min(1.0, gamma * _max_step(x, dx))
-        alpha_d = min(1.0, gamma * _max_step(s, ds))
+        alpha_p = min(1.0, gamma * _max_step(x, x_chol, dx))
+        alpha_d = min(1.0, gamma * _max_step(s, s_chol, ds))
 
         x = x + alpha_p * dx
         s = s + alpha_d * ds

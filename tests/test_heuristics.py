@@ -290,8 +290,10 @@ class TestBudgetAndSolverError:
             if k == 1:
                 assert (out.classes, out.final_rank) == (((),) * 4, -1)
                 continue
-            x, rank = iterates[k - 2]  # the last iterate solved
-            assert out.final_rank == rank
+            # the last iterate kept, as at a budget stop: a rejected try is not
+            back = 2 if full.log[solve_steps[k - 1]].action == "reject" else 1
+            x, rank = iterates[k - 1 - back]
+            assert out.final_rank == rank == kept_rank(out.log)
             assert out.classes == tuple(
                 tuple(v for v in g.vertices() if abs(x[v - 1, a - 1] - 1.0) <= 1e-4)
                 for a in anchors)

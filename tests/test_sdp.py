@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -34,7 +36,9 @@ from sdpcolor.sdp import (
     _SCHUR_BLOCK,
     ConstraintMap,
     FaceMap,
+    _cholesky,
     _Factor,
+    _inverse,
     _max_step,
     solve,
 )
@@ -155,6 +159,21 @@ class TestSolverProperties:
             assert (summary.rank_primal, summary.rank_dual) == ranks
             assert summary.solution.iterations <= max_iterations
 
+    @pytest.mark.parametrize("n, seed, max_iterations", [(150, 20240811, 20), (400, 1, 25)])
+    def test_svcn_at_scale_ends_optimal_well_under_the_cap(self, n, seed, max_iterations):
+        # 4-trees past svcn_large's sizes, whose Schur matrices turn
+        # numerically singular near the optimum: the SVCN still ends optimal
+        # in about as many iterations as at n = 60-100, with the rank pair
+        # of a uniquely 4-colorable graph
+        g = generate_ktree(4, n, seed)[0]
+        start = time.perf_counter()
+        summary = solve_svcn(g)
+        elapsed = time.perf_counter() - start
+        assert summary.solution.status == OPTIMAL
+        assert summary.solution.iterations <= max_iterations
+        assert (summary.rank_primal, summary.rank_dual) == (3, n - 3)
+        assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
     def test_infeasible_problem_degrades_gracefully(self):
         # X_11 = -1 contradicts positive semidefiniteness; with a zero
         # objective too, no iterate is ever feasible, so both run to the cap
@@ -205,11 +224,11 @@ class TestSolverProperties:
         assert sol.iterations == 1
 
     def test_capped_face_solve_returns_relaxed_window(self):
-        # A user-path solve that never meets DEFAULT_TOL: the oracle coloring's
-        # cost on the clique face of graph #867 (0-based) of the generated
-        # n = 11 corpus. At the cap it returns the iterate of the window at
-        # 10 * DEFAULT_TOL as inaccurate.
-        line = "11 befhijk,aceghjk,bdeh,cefh,abcdfgi,adeh,beik,abcdfj,aegk,abh,abgi"
+        # A user-path solve that never meets DEFAULT_TOL: certify_cost's solve,
+        # the oracle coloring's cost on the clique face of graph #947 (0-based)
+        # of the shipped n = 11 corpus. At the cap it returns the iterate of
+        # the window at 10 * DEFAULT_TOL as inaccurate.
+        line = "11 defghjk,cefghi,bdef,acef,abcdg,abcdh,abeik,abfijk,bghk,ahk,aghij"
         g = parse_plantri_ascii(line)[0]
         _, coloring = chromatic_oracle(g)
         cost = coloring_cost_matrix(g, coloring)
@@ -227,8 +246,11 @@ class TestSolverProperties:
 
     def test_face_solve_past_its_best_merit_ends_optimal(self):
         # Heuristic 2's third cost solve on graph #24250 (0-based) of the
-        # generated n = 13 corpus: past its best merit (7.2e-8) the residuals
-        # drift 100-fold for a while, then the solve runs on to optimal.
+        # generated n = 13 corpus, which is sensitive to the symmetry of S^-1:
+        # with np.linalg.inv(S) unsymmetrized in the search direction its
+        # residuals drift 100-fold past its best merit (7.2e-8) and it ends
+        # optimal at 26 iterations; with the exactly symmetric S^-1 it closes
+        # the window at 15.
         line = "13 bdfhjklm,aceghiklm,bdefh,acefik,bcdgi,acdh,bei,abcfjl,bdegk,ahl,abdim,abhj,abk"
         g = parse_plantri_ascii(line)[0]
         cost = np.zeros((g.n, g.n))
@@ -236,7 +258,7 @@ class TestSolverProperties:
             cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
         sol = solve_cost(clique_face(g, 4), cost).face
         assert sol.status == OPTIMAL
-        assert sol.iterations == 26
+        assert sol.iterations == 15
 
 
 def dense_constraints(dim, constraints, basis=None):
@@ -300,6 +322,15 @@ class TestConstraintMap:
             # the feasibility restore lands on A(dx) = rp
             rp = rng.normal(size=len(mats))
             close(ops.gather(ops.restore(x, rp)), rp)
+
+    def test_gram_factor_is_schur_of_identity(self, fig3, corpora):
+        # G G^T, bit for bit the Schur matrix at X = T = I; dpotrf with clean=0
+        # keeps the matrix's upper triangle next to its factor
+        for ops, _ in self.instances(fig3, corpora):
+            if isinstance(ops, ConstraintMap):
+                eye = np.eye(ops.order)
+                ref = lapack.dpotrf(ops.schur(eye, eye), lower=1, clean=0)[0]
+                assert np.array_equal(ops.gram._cho, ref)
 
     def test_reused_face_solves_like_a_fresh_one(self, corpora):
         g = corpora[10][179]
@@ -371,15 +402,16 @@ def random_pd(rng, dim):
 
 class TestKernels:
     def test_max_step_matches_dense_reference(self):
+        # 60 and 101: orders of svcn_large's SVCN solves (61 to 101)
         rng = np.random.default_rng(17)
-        for dim in range(3, 13):
+        for dim in (*range(3, 13), 60, 101):
             p = random_pd(rng, dim)
             dp = symmetrize(rng.normal(size=(dim, dim)))
             w, q = np.linalg.eigh(p)
             inv_half = (q / np.sqrt(w)) @ q.T  # P^{-1/2}
             lam = np.linalg.eigvalsh(symmetrize(inv_half @ dp @ inv_half))[0]
             assert lam < 0
-            alpha = _max_step(p, dp)
+            alpha = _max_step(p, _cholesky(p), dp)
             assert abs(alpha - (-1.0 / lam)) <= 1e-10 * (-1.0 / lam), dim
             # p + alpha dp sits on the PSD boundary
             edge = np.linalg.eigvalsh(p + alpha * dp)
@@ -390,16 +422,30 @@ class TestKernels:
         for dim in (3, 7, 12):
             p = random_pd(rng, dim)
             a = rng.normal(size=(dim, dim - 1))
-            assert _max_step(p, a @ a.T) == np.inf
-            assert _max_step(p, np.zeros((dim, dim))) == np.inf
+            assert _max_step(p, _cholesky(p), a @ a.T) == np.inf
+            assert _max_step(p, _cholesky(p), np.zeros((dim, dim))) == np.inf
 
     def test_max_step_falls_back_on_singular_p(self):
         p = np.diag([2.0, 1.0, 0.0])
         dp = -np.eye(3)
-        assert lapack.dsygv(dp, p, itype=1, jobz="N")[2] != 0  # Cholesky of p fails
+        assert _cholesky(p) is None
         # the fallback clips p's zero eigenvalue to 1e-14 * 2, so the step is that
-        assert _max_step(p, dp) == pytest.approx(2e-14, rel=1e-9)
-        assert _max_step(p, np.eye(3)) == np.inf
+        assert _max_step(p, None, dp) == pytest.approx(2e-14, rel=1e-9)
+        assert _max_step(p, None, np.eye(3)) == np.inf
+
+    def test_inverse_is_exactly_symmetric(self):
+        rng = np.random.default_rng(21)
+        for dim in (1, 3, 7, 12, 60, 101):
+            s = random_pd(rng, dim)
+            ref = np.linalg.inv(s)
+            for chol in (_cholesky(s), None):  # from the factor, and the fallback
+                t = _inverse(s, chol)
+                assert np.array_equal(t, t.T), dim
+                assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref)), dim
+        singular = np.diag([1.0, 0.0])
+        assert _cholesky(singular) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse(singular, None)
 
     def test_factor_solves_spd_system_by_cholesky(self):
         rng = np.random.default_rng(19)
