@@ -30,8 +30,8 @@ leading minor that is not positive definite (near some optima the matrix
 turns numerically singular), a jittered LU (dgetrf/dgetrs), whose solutions
 alone are iteratively refined; lu_steps counts those iterations. X and S
 are Cholesky-factored (dpotrf) once per iterate, and every later step reuses
-the factors. S^-1 comes from S's factor (dtrtri, then L^-T L^-1) and is
-symmetrized, so it is exactly symmetric, and the Schur matrix and the search
+the factors. S^-1 comes from S's factor as L^-T L^-1 (dtrtri, then a dsyrk
+product), so it is exactly symmetric, and the Schur matrix and the search
 direction share it. A step length to the PSD boundary is -1/lambda_min of
 the pencil (dP, P), P = X or S, and it needs only that smallest eigenvalue:
 dsygst reduces the pencil with P's factor and dsyevx computes it alone. When
@@ -58,8 +58,11 @@ that fired:
 - the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
   from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
   max-iterations, the last iterate;
-- numerical-failure: S could not be inverted or a search direction was not
-  finite; the solve returns the iterate that step started from.
+- S could not be inverted or a search direction was not finite: like the
+  cap, the solve returns inaccurate with the window's choice at
+  10 * DEFAULT_TOL when any iterate passed it, or else numerical-failure,
+  the iterate that step started from. An inaccurate solve under the cap
+  ended here.
 """
 
 from __future__ import annotations
@@ -297,14 +300,15 @@ def _inverse(s: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
     LinAlgError on a singular S.
 
     These are dpotri's two steps, dtrtri and then the product, but with
-    numpy's product (dsyrk, as one operand is the other's transpose):
+    numpy's product, which calls dsyrk (one operand is the other's
+    transpose) and mirrors its triangle, so the result is exactly symmetric:
     OpenBLAS's dlauum, which dpotri calls, rounds differently with more than
     one thread even at order 5, so a solve would depend on the thread count.
     """
     if chol is None:
         return symmetrize(np.linalg.inv(s))
     inv_l = lapack.dtrtri(chol, lower=1)[0]
-    return symmetrize(inv_l.T @ inv_l)
+    return inv_l.T @ inv_l
 
 
 class _Factor:
@@ -479,7 +483,7 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         gamma = _GAMMA_FLOOR + 0.09 * min(alpha_p, alpha_d)
         center_next = min(alpha_p, alpha_d) < 0.05
 
-    if status == MAX_ITERATIONS and relaxed.iterate is not None:
+    if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and relaxed.iterate is not None:
         x, y, s = relaxed.iterate
         status = INACCURATE
 

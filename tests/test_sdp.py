@@ -25,6 +25,7 @@ from sdpcolor.graphs import (
     is_ktree,
     parse_plantri_ascii,
 )
+from sdpcolor.heuristics import heuristic1
 from sdpcolor.linalg import min_eigenvalue, numerical_rank, symmetrize
 from sdpcolor.sdp import (
     DEFAULT_MAX_ITER,
@@ -244,13 +245,36 @@ class TestSolverProperties:
         assert gap <= 10 * DEFAULT_TOL
         assert certify_cost(g, coloring).verdict
 
+    def test_face_solve_that_loses_s_returns_relaxed_window(self):
+        # Heuristic 1's third cost solve on graph #44174 (0-based) of the
+        # generated n = 13 corpus stalls on the jittered LU until S turns
+        # singular, which ends the loop at the numerical-failure exit. Every
+        # iterate from the 10th on passes the window at 10 * DEFAULT_TOL, so
+        # the solve returns that window's iterate as inaccurate under the
+        # cap, and the heuristic colors the graph from it.
+        line = "13 dfhijkl,cefgiklm,bdef,acefi,bcdgi,abcdhl,bei,afjl,abdegk,ahl,abilm,abfhjkm,bkl"
+        g = parse_plantri_ascii(line)[0]
+        cost = np.zeros((g.n, g.n))
+        for i, j in ((1, 2), (3, 8), (5, 6), (6, 10)):
+            cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
+        face = clique_face(g, 4)
+        sol = solve_cost(face, cost).face
+        assert sol.status == INACCURATE
+        assert sol.iterations == 120
+        c = face.basis.T @ cost @ face.basis
+        scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
+        assert np.max(np.abs(face.b - face.gather(sol.X))) <= 10 * DEFAULT_TOL * scale
+        assert np.max(np.abs(c - sol.S - face.scatter(sol.y))) <= 10 * DEFAULT_TOL * scale
+        gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
+        assert gap <= 10 * DEFAULT_TOL
+        out = heuristic1(g)
+        assert (out.status, out.solve_count) == ("colored", 3)
+        assert out.coloring.assignment == (1, 1, 3, 4, 2, 2, 4, 3, 3, 2, 2, 4, 3)
+
     def test_face_solve_past_its_best_merit_ends_optimal(self):
         # Heuristic 2's third cost solve on graph #24250 (0-based) of the
-        # generated n = 13 corpus, which is sensitive to the symmetry of S^-1:
-        # with np.linalg.inv(S) unsymmetrized in the search direction its
-        # residuals drift 100-fold past its best merit (7.2e-8) and it ends
-        # optimal at 26 iterations; with the exactly symmetric S^-1 it closes
-        # the window at 15.
+        # generated n = 13 corpus, which is sensitive to the symmetry of S^-1;
+        # with the exactly symmetric S^-1 it closes the window at 15.
         line = "13 bdfhjklm,aceghiklm,bdefh,acefik,bcdgi,acdh,bei,abcfjl,bdegk,ahl,abdim,abhj,abk"
         g = parse_plantri_ascii(line)[0]
         cost = np.zeros((g.n, g.n))
