@@ -194,7 +194,7 @@ def solve_cost(face: FaceMap, cost: np.ndarray) -> CostSolution:
     """Solve the cost SDP with this cost on its clique face; lift X.
 
     Only the cost is new per solve: it is projected to V^T C V, and the
-    solver reuses the face's operator and Gram factor. The face solve runs at
+    solver reuses the face's operator. The face solve runs at
     sdp.DEFAULT_TOL. Its S_W stays in face coordinates: V S_W V^T need not be
     an unreduced dual slack, since that dual can recede along u_Q u_Q^T, a
     constraint combination of b-weight 0, without changing its objective, so

@@ -5,9 +5,8 @@ Dual:    max b^T y   s.t.  S = C - sum_i y_i A_i,  S PSD
 
 Each A_i is stored as its few nonzero entries. An SDP is posed as an
 operator and an objective, solve(ops, C): the solver reaches the constraints
-only through the operator, which gives b, A(W), A*(y), the Schur matrix and
-the Gram factor that restores A(dW) = r, and it takes C in that operator's
-coordinates. The caller picks the operator:
+only through the operator, which gives b, A(W), A*(y) and the Schur matrix,
+and it takes C in that operator's coordinates. The caller picks the operator:
 
 - on the whole cone, ConstraintMap works on the entries: A(X) is a gather and
   A*(y) a scatter over them, so no constraint is a dense matrix (at n = 100 a
@@ -43,7 +42,9 @@ Pose such a problem on the FaceMap of the face that holds its feasible set,
 as formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
-at every iterate; an iterate passes a tolerance when all three are within it.
+at every iterate: ||b - A(X)||_max / scale and ||C - S - A*(y)||_max / scale,
+with scale = 1 + ||b||_max + ||C||_max, and |C . X - b^T y| / (1 + |C . X|).
+An iterate passes a tolerance when all three are within it.
 The loop has four exits; the status and the iteration count name the one
 that fired:
 
@@ -108,27 +109,12 @@ def _flat_entries(constraints) -> tuple:
     return tuple(np.array(col) for col in zip(*cells))
 
 
-class _Operator:
-    """What the solver asks of the constraints, in the variable's coordinates.
-
-    Subclasses give b, order (the variable's order), gather (A(W)), scatter
-    (A*(y)), schur (M_ij = tr(A_i W A_j T)) and gram, the factor of the
-    constant Gram matrix tr(A_i A_j). They factor it when they are built,
-    before the solver's loop allocates its per-iteration arrays.
-    """
-
-    def restore(self, dw: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """dw moved onto A(dw) = r by the least-norm correction A*(lambda).
-
-        This is what keeps primal feasibility from eroding once the Schur
-        complement turns ill-conditioned near the optimum.
-        """
-        lam = self.gram.solve(r - self.gather(dw))
-        return symmetrize(dw + self.scatter(lam))
-
-
-class ConstraintMap(_Operator):
+class ConstraintMap:
     """Constraints on a variable of order dim, reached through their entries.
+
+    Like FaceMap, it gives what the solver asks of the constraints: b, order
+    (the variable's order), gather (A(X)), scatter (A*(y)) and schur
+    (M_ij = tr(A_i X A_j T)).
 
     Each constraint is (entries, b_i); its entries are its distinct nonzero
     upper-triangle cells (r, c, value), r <= c, each setting A_i[r, c] =
@@ -140,8 +126,7 @@ class ConstraintMap(_Operator):
     matrix G (m x cells) holds A_i[p_u, q_u] in row i, so a cell that many
     constraints share (the SVCN's corner cell) is one column, not many. G
     holds a cell and its transpose with the same value, so the Schur matrix
-    is G K G^T with a symmetric K of cell-pair products (see schur), and the
-    Gram matrix tr(A_i A_j) is G G^T.
+    is G K G^T with a symmetric K of cell-pair products (see schur).
     """
 
     def __init__(self, dim: int, constraints):
@@ -152,7 +137,6 @@ class ConstraintMap(_Operator):
         self.b = np.array([bi for _, bi in constraints])
         self.g = sparse.csr_matrix((self.coef, (self.row, col)), shape=(self.b.size, cells.size))
         self.order = dim
-        self.gram = _Factor((self.g @ self.g.T).toarray())
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """A(X)_i = sum over entries s of constraint i of c_s X[p_s, q_s]."""
@@ -185,7 +169,7 @@ class ConstraintMap(_Operator):
         return self.g @ kg
 
 
-class FaceMap(_Operator):
+class FaceMap:
     """Constraints restricted to the face X = V W V^T, as a dense operator on W.
 
     On the face, constraints can turn dependent (a combination of the A_i can
@@ -197,8 +181,8 @@ class FaceMap(_Operator):
     Row i of rows is vec(V^T A_i V), of length d^2 for V's d columns (V has
     orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
     matrix, and the Schur matrix tr(A_i W A_j T) is the product of the stacked
-    A_i W with the stacked T A_j. The constraints are checked, and the Gram
-    factor computed, once, so every solve on this face shares both.
+    A_i W with the stacked T A_j. The constraints are checked and projected
+    once, so every solve on this face shares the operator.
     """
 
     def __init__(self, basis: np.ndarray, constraints: tuple):
@@ -218,7 +202,6 @@ class FaceMap(_Operator):
         self.rows = rows[kept]
         self.mats = self.rows.reshape(-1, d, d)
         self.b = np.array([bi for _, bi in self.constraints])
-        self.gram = _Factor(self.rows @ self.rows.T)
 
     def gather(self, w: np.ndarray) -> np.ndarray:
         """A(W)_i = vec(V^T A_i V) . vec(W)."""
@@ -239,7 +222,9 @@ class FaceMap(_Operator):
 class SdpSolution:
     """The returned iterate, its objectives and status, and the loop's counts:
     iterations run, and lu_steps, how many of them factored the Schur matrix
-    by the jittered LU because dpotrf failed."""
+    by the jittered LU because dpotrf failed. rel_p, rel_d and rel_gap are
+    the returned iterate's relative primal and dual residuals and relative
+    duality gap, as the loop measures them (see the module docstring)."""
 
     X: np.ndarray
     y: np.ndarray
@@ -249,6 +234,9 @@ class SdpSolution:
     status: str
     iterations: int
     lu_steps: int
+    rel_p: float
+    rel_d: float
+    rel_gap: float
 
     @property
     def optimal(self) -> bool:
@@ -458,7 +446,7 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
                 dx = symmetrize((rc - x @ ds) @ s_inv)
                 if not (np.isfinite(dx).all() and np.isfinite(ds).all()):
                     raise np.linalg.LinAlgError("non-finite search direction")
-                return ops.restore(dx, rp), dy, ds
+                return dx, dy, ds
 
             if center_next:
                 # pure centering step to recover step length after a near-stall
@@ -487,5 +475,6 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         x, y, s = relaxed.iterate
         status = INACCURATE
 
-    _, _, pobj, dobj, _, _, _ = measure(x, y, s)
-    return SdpSolution(x, y, s, pobj, dobj, status, iterations, lu_steps)
+    _, _, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
+    return SdpSolution(x, y, s, pobj, dobj, status, iterations, lu_steps,
+                       rel_p, rel_d, rel_gap)

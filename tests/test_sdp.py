@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 from conftest import complete_graph, path_graph
 from duality import check_complementarity, verify_feasible_dual
-from sdpcolor.certificates import certify_cost, coloring_cost_matrix, ktree_dual
+from sdpcolor import sdp
+from sdpcolor.certificates import certify_cost, ktree_dual
 from sdpcolor.formulations import (
     build_cost_sdp,
     build_svcn,
@@ -97,6 +98,20 @@ def solved_batch():
             for dim, constraints, objective in instances]
 
 
+def link_cost(g, links):
+    """g's cost matrix with -1 at each link (i, j) of 1-based vertices."""
+    cost = np.zeros((g.n, g.n))
+    for i, j in links:
+        cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
+    return cost
+
+
+# Heuristic 1's third cost solve on graph #7231 (0-based) of the generated
+# n = 12 corpus: its graph and its cost's links
+CAPPED_LINE = "12 dfijkl,cdfghik,bdeg,abcefi,cdgi,abdhj,bcei,bfjk,abdegk,afhkl,abhijl,ajk"
+CAPPED_LINKS = ((1, 2), (3, 10), (6, 11), (8, 12))
+
+
 def residuals(dim, constraints, objective, sol):
     """||A(X) - b||_inf and ||S - C + sum_i y_i A_i||_max, from the dense A_i."""
     mats = dense_constraints(dim, constraints)
@@ -160,7 +175,8 @@ class TestSolverProperties:
             assert (summary.rank_primal, summary.rank_dual) == ranks
             assert summary.solution.iterations <= max_iterations
 
-    @pytest.mark.parametrize("n, seed, max_iterations", [(150, 20240811, 20), (400, 1, 25)])
+    @pytest.mark.parametrize("n, seed, max_iterations",
+                             [(150, 20240811, 20), (400, 1, 25), (400, 7, 25)])
     def test_svcn_at_scale_ends_optimal_well_under_the_cap(self, n, seed, max_iterations):
         # 4-trees past svcn_large's sizes, whose Schur matrices turn
         # numerically singular near the optimum: the SVCN still ends optimal
@@ -177,11 +193,15 @@ class TestSolverProperties:
 
     def test_infeasible_problem_degrades_gracefully(self):
         # X_11 = -1 contradicts positive semidefiniteness; with a zero
-        # objective too, no iterate is ever feasible, so both run to the cap
+        # objective too, no iterate is ever feasible. With C = I the solve
+        # runs to the cap; with C = 0 the iterates grow until a search
+        # direction overflows, and the numerical-failure exit ends it
         ops = ConstraintMap(2, [([(0, 0, 1.0)], -1.0)])
-        for objective in (np.eye(2), np.zeros((2, 2))):
-            sol = solve(ops, objective)
-            assert (sol.status, sol.iterations) == (MAX_ITERATIONS, DEFAULT_MAX_ITER)
+        for objective, status, iterations in ((np.eye(2), MAX_ITERATIONS, DEFAULT_MAX_ITER),
+                                              (np.zeros((2, 2)), NUMERICAL_FAILURE, 172)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve(ops, objective)
+            assert (sol.status, sol.iterations) == (status, iterations)
 
     def test_zero_objective_ends_at_its_first_feasible_iterate(self, fig3):
         # C = 0 makes (y, S) = (0, 0) an exact dual optimum. K_4's clique face
@@ -225,14 +245,13 @@ class TestSolverProperties:
         assert sol.iterations == 1
 
     def test_capped_face_solve_returns_relaxed_window(self):
-        # A user-path solve that never meets DEFAULT_TOL: certify_cost's solve,
-        # the oracle coloring's cost on the clique face of graph #947 (0-based)
-        # of the shipped n = 11 corpus. At the cap it returns the iterate of
-        # the window at 10 * DEFAULT_TOL as inaccurate.
-        line = "11 defghjk,cefghi,bdef,acef,abcdg,abcdh,abeik,abfijk,bghk,ahk,aghij"
-        g = parse_plantri_ascii(line)[0]
-        _, coloring = chromatic_oracle(g)
-        cost = coloring_cost_matrix(g, coloring)
+        # A user-path solve that never meets DEFAULT_TOL: heuristic 1's third
+        # cost solve on graph #7231 (0-based) of the generated n = 12 corpus
+        # (CAPPED_LINE). At the cap it returns the iterate of the window at
+        # 10 * DEFAULT_TOL as inaccurate, and the run goes on to color the
+        # graph.
+        g = parse_plantri_ascii(CAPPED_LINE)[0]
+        cost = link_cost(g, CAPPED_LINKS)
         face = clique_face(g, 4)
         sol = solve_cost(face, cost).face
         assert sol.status == INACCURATE
@@ -243,33 +262,74 @@ class TestSolverProperties:
         assert np.max(np.abs(c - sol.S - face.scatter(sol.y))) <= 10 * DEFAULT_TOL * scale
         gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
         assert gap <= 10 * DEFAULT_TOL
-        assert certify_cost(g, coloring).verdict
+        assert certify_cost(g, chromatic_oracle(g)[1]).verdict
+        out = heuristic1(g)
+        assert (out.status, out.solve_count) == ("colored", 6)
+        assert out.coloring.assignment == (1, 1, 2, 4, 1, 3, 3, 4, 2, 2, 3, 4)
 
-    def test_face_solve_that_loses_s_returns_relaxed_window(self):
+    def test_solution_reports_the_residuals_of_its_iterate(self, fig1):
+        # rel_p, rel_d and rel_gap against a recomputation from the dense
+        # A_i, on the capped face solve above and on fig1's optimal SVCN
+        g = parse_plantri_ascii(CAPPED_LINE)[0]
+        face = clique_face(g, 4)
+        dim, constraints, objective = svcn_instance(fig1)
+        cases = [(face, face.constraints,
+                  dense_constraints(g.n, face.constraints, face.basis),
+                  symmetrize(face.basis.T @ link_cost(g, CAPPED_LINKS) @ face.basis),
+                  INACCURATE, 10 * DEFAULT_TOL),
+                 (ConstraintMap(dim, constraints), constraints,
+                  dense_constraints(dim, constraints), objective, OPTIMAL, DEFAULT_TOL)]
+        for ops, constraints, mats, c, status, tol in cases:
+            sol = solve(ops, c)
+            assert sol.status == status
+            b = np.array([bi for _, bi in constraints])
+            scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(c))
+            rel_p = max(abs(bi - np.sum(a * sol.X)) for a, bi in zip(mats, b)) / scale
+            rel_d = np.max(np.abs(c - sol.S - sum(yi * a for yi, a in zip(sol.y, mats)))) / scale
+            pobj = np.sum(c * sol.X)
+            rel_gap = abs(pobj - b @ sol.y) / (1.0 + abs(pobj))
+            for got, ref in ((sol.rel_p, rel_p), (sol.rel_d, rel_d), (sol.rel_gap, rel_gap)):
+                assert got == pytest.approx(ref, rel=1e-6, abs=1e-14)
+                assert got <= tol
+
+    def test_face_solve_that_loses_s_returns_relaxed_window(self, monkeypatch):
         # Heuristic 1's third cost solve on graph #44174 (0-based) of the
-        # generated n = 13 corpus stalls on the jittered LU until S turns
-        # singular, which ends the loop at the numerical-failure exit. Every
-        # iterate from the 10th on passes the window at 10 * DEFAULT_TOL, so
-        # the solve returns that window's iterate as inaccurate under the
-        # cap, and the heuristic colors the graph from it.
+        # generated n = 13 corpus ends optimal, and the heuristic colors the
+        # graph from it. No solve of the generated n = 12 or n = 13 corpus
+        # loses S, so _inverse is made to fail here: on the 10th iteration,
+        # after the iterate that opened the window at 10 * DEFAULT_TOL, the
+        # numerical-failure exit returns that window's iterate as inaccurate
+        # under the cap; on the 9th, before it opened, it returns the
+        # iterate that step started from as numerical-failure.
         line = "13 dfhijkl,cefgiklm,bdef,acefi,bcdgi,abcdhl,bei,afjl,abdegk,ahl,abilm,abfhjkm,bkl"
         g = parse_plantri_ascii(line)[0]
-        cost = np.zeros((g.n, g.n))
-        for i, j in ((1, 2), (3, 8), (5, 6), (6, 10)):
-            cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
+        cost = link_cost(g, ((1, 2), (3, 8), (5, 6), (6, 10)))
         face = clique_face(g, 4)
         sol = solve_cost(face, cost).face
-        assert sol.status == INACCURATE
-        assert sol.iterations == 120
-        c = face.basis.T @ cost @ face.basis
-        scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
-        assert np.max(np.abs(face.b - face.gather(sol.X))) <= 10 * DEFAULT_TOL * scale
-        assert np.max(np.abs(c - sol.S - face.scatter(sol.y))) <= 10 * DEFAULT_TOL * scale
-        gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
-        assert gap <= 10 * DEFAULT_TOL
+        assert (sol.status, sol.iterations) == (OPTIMAL, 11)
         out = heuristic1(g)
         assert (out.status, out.solve_count) == ("colored", 3)
         assert out.coloring.assignment == (1, 1, 3, 4, 2, 2, 4, 3, 3, 2, 2, 4, 3)
+
+        c = face.basis.T @ cost @ face.basis
+        scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
+        for failing_call, status in ((10, INACCURATE), (9, NUMERICAL_FAILURE)):
+            calls = []
+
+            def inverse(s, chol, failing_call=failing_call):
+                calls.append(None)
+                if len(calls) == failing_call:
+                    raise np.linalg.LinAlgError("S lost")
+                return _inverse(s, chol)
+
+            monkeypatch.setattr(sdp, "_inverse", inverse)
+            sol = solve_cost(face, cost).face
+            assert (sol.status, sol.iterations) == (status, failing_call)
+            primal = np.max(np.abs(face.b - face.gather(sol.X)))
+            dual = np.max(np.abs(c - sol.S - face.scatter(sol.y)))
+            gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
+            passes = max(primal / scale, dual / scale, gap) <= 10 * DEFAULT_TOL
+            assert passes == (status == INACCURATE)
 
     def test_face_solve_past_its_best_merit_ends_optimal(self):
         # Heuristic 2's third cost solve on graph #24250 (0-based) of the
@@ -277,10 +337,7 @@ class TestSolverProperties:
         # with the exactly symmetric S^-1 it closes the window at 15.
         line = "13 bdfhjklm,aceghiklm,bdefh,acefik,bcdgi,acdh,bei,abcfjl,bdegk,ahl,abdim,abhj,abk"
         g = parse_plantri_ascii(line)[0]
-        cost = np.zeros((g.n, g.n))
-        for i, j in ((1, 3), (2, 4)):
-            cost[i - 1, j - 1] = cost[j - 1, i - 1] = -1.0
-        sol = solve_cost(clique_face(g, 4), cost).face
+        sol = solve_cost(clique_face(g, 4), link_cost(g, ((1, 3), (2, 4)))).face
         assert sol.status == OPTIMAL
         assert sol.iterations == 15
 
@@ -343,18 +400,6 @@ class TestConstraintMap:
             eye = np.eye(order)
             close(ops.schur(eye, eye),
                   np.array([[np.sum(ai * aj) for aj in mats] for ai in mats]))
-            # the feasibility restore lands on A(dx) = rp
-            rp = rng.normal(size=len(mats))
-            close(ops.gather(ops.restore(x, rp)), rp)
-
-    def test_gram_factor_is_schur_of_identity(self, fig3, corpora):
-        # G G^T, bit for bit the Schur matrix at X = T = I; dpotrf with clean=0
-        # keeps the matrix's upper triangle next to its factor
-        for ops, _ in self.instances(fig3, corpora):
-            if isinstance(ops, ConstraintMap):
-                eye = np.eye(ops.order)
-                ref = lapack.dpotrf(ops.schur(eye, eye), lower=1, clean=0)[0]
-                assert np.array_equal(ops.gram._cho, ref)
 
     def test_reused_face_solves_like_a_fresh_one(self, corpora):
         g = corpora[10][179]

@@ -7,10 +7,10 @@ vertex of a failure, and format_log.
 It can also print certify_cost on every K_4 graph of a corpus (with the oracle's
 coloring), certify_ktree on the 200 (k, n, seed) triples of acceptance
 criterion 3, and the SVCN solves of fig1 and of the 4-trees on 60, 80 and 100
-vertices (the benchmark's svcn_large items) and on 150 vertices, where a solver
-stall at scale shows: objective repr, primal and dual rank, status, iterations
-and LU steps. The output depends only on the code under src/ next to this
-file, so checking two commits for parity is one diff:
+vertices (the benchmark's svcn_large items) and on 150 and 400 vertices, where a
+solver stall at scale shows: objective repr, primal and dual rank, status,
+iterations and LU steps. The output depends only on the code under src/ next to
+this file, so checking two commits for parity is one diff:
 
     python tools/parity.py > a.txt        # in one checkout
     python tools/parity.py > b.txt        # in the other
@@ -22,7 +22,7 @@ Usage: python tools/parity.py [--corpus FILE]... [--figure NAME]...
 A corpus FILE is a plantri-ascii path or the name of a shipped corpus
 (planar_n10.txt). With no arguments it prints the standard set: both heuristics on
 every shipped corpus (n = 5..11) and on fig3, fig4 and fig5, certify_cost on
-planar_n10.txt, the certify_ktree triples and the five SVCN solves.
+planar_n10.txt, the certify_ktree triples and the six SVCN solves.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from sdpcolor.heuristics import format_log, heuristic1, heuristic2  # noqa: E402
 
 CRITERION3_SEED = 20240811
 FIGURES = ("fig3", "fig4", "fig5")
-SVCN_TREE_SIZES = (60, 80, 100, 150)  # svcn_large's trees, then one at scale
+# (n, seed) of the 4-trees: svcn_large's, then two at scale
+SVCN_TREES = ((60, CRITERION3_SEED), (80, CRITERION3_SEED), (100, CRITERION3_SEED),
+              (150, CRITERION3_SEED), (400, 7))
 
 
 def k4_graphs(name: str):
@@ -100,7 +102,7 @@ def main() -> None:
     parser.add_argument("--certify-ktree", action="store_true",
                         help="certify_ktree on acceptance criterion 3's 200 triples")
     parser.add_argument("--svcn", action="store_true",
-                        help="SVCN on fig1 and the 4-trees on 60, 80, 100 and 150 vertices")
+                        help="SVCN on fig1 and the 4-trees on 60, 80, 100, 150 and 400 vertices")
     args = parser.parse_args()
     if not (args.corpus or args.figure or args.certify_cost or args.certify_ktree
             or args.svcn):
@@ -124,9 +126,8 @@ def main() -> None:
             print_report(f"ktree k={k} n={n} seed={seed}", certify_ktree(g, k))
     if args.svcn:
         print_svcn("fig1", load_figure("fig1"))
-        for n in SVCN_TREE_SIZES:
-            print_svcn(f"tree k=4 n={n} seed={CRITERION3_SEED}",
-                       generate_ktree(4, n, CRITERION3_SEED)[0])
+        for n, seed in SVCN_TREES:
+            print_svcn(f"tree k=4 n={n} seed={seed}", generate_ktree(4, n, seed)[0])
 
 
 if __name__ == "__main__":
