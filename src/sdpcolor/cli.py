@@ -11,6 +11,8 @@ import sys
 
 from .batch import emit_report, run_batch
 from .certificates import (
+    OBJ_TOL,
+    PSD_SLACK,
     blend_colorings,
     certify_cost,
     certify_ktree,
@@ -176,7 +178,7 @@ def _cmd_independent_cost(args) -> int:
     x_ref = reference_solution(g, coloring)
     gap = abs(float(np.sum(cost * x_ref)) - assignment.dual_obj)
     cliques = len(enumerate_cliques(g, k))
-    ok = lam >= -1e-10 and gap <= 1e-10
+    ok = lam >= -PSD_SLACK and gap <= OBJ_TOL
     print(
         f"cliques={cliques} lambda_min={lam:.3e}"
         f" objective_gap={gap:.3e} rank={numerical_rank(assignment.S)}"

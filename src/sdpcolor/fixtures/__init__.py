@@ -20,10 +20,6 @@ def fixture_text(name: str) -> str:
     return (files(__package__) / name).read_text()
 
 
-def fixture_path(name: str) -> str:
-    return str(files(__package__) / name)
-
-
 def path_or_fixture_text(name: str) -> str:
     """The text of the file at path name, or else of the shipped fixture name.
 

@@ -34,12 +34,12 @@ product), so it is exactly symmetric, and the Schur matrix and the search
 direction share it. A step length to the PSD boundary is -1/lambda_min of
 the pencil (dP, P), P = X or S, and it needs only that smallest eigenvalue:
 dsygst reduces the pencil with P's factor and dsyevx computes it alone. When
-a Cholesky fails, np.linalg.inv gives S^-1 (symmetrized) and an eigh of P
-the eigenvalues instead. It is deterministic. It assumes independent
-constraints and a feasible set with an interior: when the interior is empty,
-steps shrink toward the boundary and the solve can run to the iteration cap.
-Pose such a problem on the FaceMap of the face that holds its feasible set,
-as formulations.clique_face does for the cost SDP.
+X or S has no Cholesky factor, the solve ends (the fourth exit below). It is
+deterministic. It assumes independent constraints and a feasible set with an
+interior: when the interior is empty, steps shrink toward the boundary until
+X or S loses its factor or the iteration cap is reached. Pose such a problem
+on the FaceMap of the face that holds its feasible set, as
+formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate: ||b - A(X)||_max / scale and ||C - S - A*(y)||_max / scale,
@@ -59,7 +59,7 @@ that fired:
 - the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
   from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
   max-iterations, the last iterate;
-- S could not be inverted or a search direction was not finite: like the
+- X or S lost its Cholesky factor, or a direction was not finite: like the
   cap, the solve returns inaccurate with the window's choice at
   10 * DEFAULT_TOL when any iterate passed it, or else numerical-failure,
   the iterate that step started from. An inaccurate solve under the cap
@@ -253,39 +253,31 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum())
 
 
-def _max_step(p: np.ndarray, chol: np.ndarray | None, dp: np.ndarray) -> float:
-    """Largest alpha with p + alpha*dp still PSD (p assumed PD).
+def _max_step(chol: np.ndarray, dp: np.ndarray) -> float:
+    """Largest alpha with p + alpha*dp still PSD, for p's Cholesky factor chol = L.
 
     The step is -1/lambda_min of the pencil (dp, p), whose eigenvalues are
-    those of L^-1 dp L^-T for p's Cholesky factor chol = L: dsygst forms that
-    matrix from L, and dsyevx takes its smallest eigenvalue alone. When p's
-    Cholesky failed (chol is None), the eigenvalues are those of
-    p^-1/2 dp p^-1/2 with p's spectrum clipped away from zero.
+    those of L^-1 dp L^-T: dsygst forms that matrix from L, and dsyevx takes
+    its smallest eigenvalue alone.
     """
-    if chol is not None:
-        c = lapack.dsygst(dp, chol, itype=1, lower=1)[0]
-        lam = float(lapack.dsyevx(c, compute_v=0, range="I", il=1, iu=1, lower=1,
-                                  overwrite_a=1)[0][0])
-    else:
-        w, q = np.linalg.eigh(p)
-        w = np.clip(w, w[-1] * 1e-14 if w[-1] > 0 else 1e-300, None)
-        inv_half = q / np.sqrt(w)
-        lam = float(np.linalg.eigvalsh(symmetrize(inv_half.T @ dp @ inv_half))[0])
+    c = lapack.dsygst(dp, chol, itype=1, lower=1)[0]
+    lam = float(lapack.dsyevx(c, compute_v=0, range="I", il=1, iu=1, lower=1,
+                              overwrite_a=1)[0][0])
     if lam >= -1e-13:
         return np.inf
     return -1.0 / lam
 
 
-def _cholesky(p: np.ndarray) -> np.ndarray | None:
-    """p's lower Cholesky factor, its upper triangle zero; None when dpotrf fails."""
+def _cholesky(p: np.ndarray) -> np.ndarray:
+    """p's lower Cholesky factor, its upper triangle zero; LinAlgError when dpotrf fails."""
     chol, info = lapack.dpotrf(p, lower=1)
-    return chol if info == 0 else None
+    if info != 0:
+        raise np.linalg.LinAlgError("not positive definite")
+    return chol
 
 
-def _inverse(s: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
-    """S^-1, exactly symmetric: L^-T L^-1 from S's factor chol = L, or
-    np.linalg.inv when S's Cholesky failed (chol is None), which raises
-    LinAlgError on a singular S.
+def _inverse(chol: np.ndarray) -> np.ndarray:
+    """S^-1, exactly symmetric: L^-T L^-1 from S's factor chol = L.
 
     These are dpotri's two steps, dtrtri and then the product, but with
     numpy's product, which calls dsyrk (one operand is the other's
@@ -293,8 +285,6 @@ def _inverse(s: np.ndarray, chol: np.ndarray | None) -> np.ndarray:
     OpenBLAS's dlauum, which dpotri calls, rounds differently with more than
     one thread even at order 5, so a solve would depend on the thread count.
     """
-    if chol is None:
-        return symmetrize(np.linalg.inv(s))
     inv_l = lapack.dtrtri(chol, lower=1)[0]
     return inv_l.T @ inv_l
 
@@ -411,7 +401,6 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         return rp, rd, pobj, dobj, rel_p, rel_d, rel_gap
 
-    center_next = False
     zero_objective = not c.any()
 
     for it in range(1, DEFAULT_MAX_ITER + 1):
@@ -429,9 +418,9 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
             break
         iterations = it
 
-        x_chol, s_chol = _cholesky(x), _cholesky(s)
         try:
-            s_inv = _inverse(s, s_chol)
+            x_chol, s_chol = _cholesky(x), _cholesky(s)
+            s_inv = _inverse(s_chol)
             schur = _Factor(symmetrize(ops.schur(x, s_inv)))
             lu_steps += schur._cho is None
 
@@ -448,28 +437,23 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
                     raise np.linalg.LinAlgError("non-finite search direction")
                 return dx, dy, ds
 
-            if center_next:
-                # pure centering step to recover step length after a near-stall
-                dx, dy, ds = direction(mu * eye - xs)
-            else:
-                dx_a, dy_a, ds_a = direction(-xs)
-                ap_a = min(1.0, gamma * _max_step(x, x_chol, dx_a))
-                ad_a = min(1.0, gamma * _max_step(s, s_chol, ds_a))
-                mu_aff = _inner(x + ap_a * dx_a, s + ad_a * ds_a) / ell
-                sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
-                rc = sigma * mu * eye - xs - dx_a @ ds_a
-                dx, dy, ds = direction(rc)
-        except np.linalg.LinAlgError:  # S singular, or a direction not finite
+            dx_a, dy_a, ds_a = direction(-xs)
+            ap_a = min(1.0, gamma * _max_step(x_chol, dx_a))
+            ad_a = min(1.0, gamma * _max_step(s_chol, ds_a))
+            mu_aff = _inner(x + ap_a * dx_a, s + ad_a * ds_a) / ell
+            sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
+            rc = sigma * mu * eye - xs - dx_a @ ds_a
+            dx, dy, ds = direction(rc)
+        except np.linalg.LinAlgError:  # X or S lost its factor, or a direction not finite
             status = NUMERICAL_FAILURE
             break
-        alpha_p = min(1.0, gamma * _max_step(x, x_chol, dx))
-        alpha_d = min(1.0, gamma * _max_step(s, s_chol, ds))
+        alpha_p = min(1.0, gamma * _max_step(x_chol, dx))
+        alpha_d = min(1.0, gamma * _max_step(s_chol, ds))
 
         x = x + alpha_p * dx
         s = s + alpha_d * ds
         y = y + alpha_d * dy
         gamma = _GAMMA_FLOOR + 0.09 * min(alpha_p, alpha_d)
-        center_next = min(alpha_p, alpha_d) < 0.05
 
     if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and relaxed.iterate is not None:
         x, y, s = relaxed.iterate

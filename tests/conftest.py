@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+from importlib.resources import files
 from itertools import combinations
 
 import pytest
 
 from sdpcolor.fixtures import load_corpus, load_figure
 from sdpcolor.graphs import Graph
+
+
+def fixture_path(name: str) -> str:
+    """The path of the shipped fixture file name."""
+    return str(files("sdpcolor.fixtures") / name)
 
 
 def complete_graph(n: int) -> Graph:

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fixture_path
 from sdpcolor import batch, fixtures
 from sdpcolor.batch import BatchReport, BatchRow, emit_report, run_batch
 from sdpcolor.cli import build_parser, cli_main
-from sdpcolor.fixtures import corpus_name, fixture_path, fixture_text, load_corpus, load_figure
+from sdpcolor.fixtures import corpus_name, fixture_text, load_corpus, load_figure
 from sdpcolor.graphs import GraphParseError, find_clique, parse_edge_list, plantri_line
 from sdpcolor.heuristics import CYCLE, EXHAUSTED, FAILED
 from test_heuristics import CYCLING

@@ -29,7 +29,6 @@ from sdpcolor.graphs import (
 from sdpcolor.heuristics import heuristic1
 from sdpcolor.linalg import min_eigenvalue, numerical_rank, symmetrize
 from sdpcolor.sdp import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     INACCURATE,
     MAX_ITERATIONS,
@@ -107,9 +106,26 @@ def link_cost(g, links):
 
 
 # Heuristic 1's third cost solve on graph #7231 (0-based) of the generated
-# n = 12 corpus: its graph and its cost's links
-CAPPED_LINE = "12 dfijkl,cdfghik,bdeg,abcefi,cdgi,abdhj,bcei,bfjk,abdegk,afhkl,abhijl,ajk"
-CAPPED_LINKS = ((1, 2), (3, 10), (6, 11), (8, 12))
+# n = 12 corpus, which never meets DEFAULT_TOL: its graph and its cost's links
+STALL_LINE = "12 dfijkl,cdfghik,bdeg,abcefi,cdgi,abdhj,bcei,bfjk,abdegk,afhkl,abhijl,ajk"
+STALL_LINKS = ((1, 2), (3, 10), (6, 11), (8, 12))
+
+
+def stall_face_solve():
+    """(face, projected cost, solution) of the stalling solve."""
+    g = parse_plantri_ascii(STALL_LINE)[0]
+    cost = link_cost(g, STALL_LINKS)
+    face = clique_face(g, 4)
+    return face, face.basis.T @ cost @ face.basis, solve_cost(face, cost).face
+
+
+def passes_relaxed(face, c, sol):
+    """Whether sol's iterate is within 10 * DEFAULT_TOL, recomputed from the face."""
+    scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
+    primal = np.max(np.abs(face.b - face.gather(sol.X))) / scale
+    dual = np.max(np.abs(c - sol.S - face.scatter(sol.y))) / scale
+    gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
+    return max(primal, dual, gap) <= 10 * DEFAULT_TOL
 
 
 def residuals(dim, constraints, objective, sol):
@@ -192,13 +208,13 @@ class TestSolverProperties:
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
     def test_infeasible_problem_degrades_gracefully(self):
-        # X_11 = -1 contradicts positive semidefiniteness; with a zero
-        # objective too, no iterate is ever feasible. With C = I the solve
-        # runs to the cap; with C = 0 the iterates grow until a search
-        # direction overflows, and the numerical-failure exit ends it
+        # X_11 = -1 contradicts positive semidefiniteness, so no iterate is
+        # ever feasible. The iterates run toward the boundary of the cone
+        # until X or S loses its Cholesky factor, and the numerical-failure
+        # exit ends the solve well under the cap
         ops = ConstraintMap(2, [([(0, 0, 1.0)], -1.0)])
-        for objective, status, iterations in ((np.eye(2), MAX_ITERATIONS, DEFAULT_MAX_ITER),
-                                              (np.zeros((2, 2)), NUMERICAL_FAILURE, 172)):
+        for objective, status, iterations in ((np.eye(2), NUMERICAL_FAILURE, 176),
+                                              (np.zeros((2, 2)), NUMERICAL_FAILURE, 18)):
             with np.errstate(over="ignore", invalid="ignore"):
                 sol = solve(ops, objective)
             assert (sol.status, sol.iterations) == (status, iterations)
@@ -244,38 +260,27 @@ class TestSolverProperties:
         assert sol.status == NUMERICAL_FAILURE
         assert sol.iterations == 1
 
-    def test_capped_face_solve_returns_relaxed_window(self):
-        # A user-path solve that never meets DEFAULT_TOL: heuristic 1's third
-        # cost solve on graph #7231 (0-based) of the generated n = 12 corpus
-        # (CAPPED_LINE). At the cap it returns the iterate of the window at
-        # 10 * DEFAULT_TOL as inaccurate, and the run goes on to color the
-        # graph.
-        g = parse_plantri_ascii(CAPPED_LINE)[0]
-        cost = link_cost(g, CAPPED_LINKS)
-        face = clique_face(g, 4)
-        sol = solve_cost(face, cost).face
-        assert sol.status == INACCURATE
-        assert sol.iterations == DEFAULT_MAX_ITER
-        c = face.basis.T @ cost @ face.basis
-        scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
-        assert np.max(np.abs(face.b - face.gather(sol.X))) <= 10 * DEFAULT_TOL * scale
-        assert np.max(np.abs(c - sol.S - face.scatter(sol.y))) <= 10 * DEFAULT_TOL * scale
-        gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
-        assert gap <= 10 * DEFAULT_TOL
-        assert certify_cost(g, chromatic_oracle(g)[1]).verdict
-        out = heuristic1(g)
-        assert (out.status, out.solve_count) == ("colored", 6)
-        assert out.coloring.assignment == (1, 1, 2, 4, 1, 3, 3, 4, 2, 2, 3, 4)
+    def test_capped_face_solve_returns_relaxed_window(self, monkeypatch):
+        # No solve of the parity sets reaches the cap, so it is lowered here
+        # (solve reads DEFAULT_MAX_ITER when called). The stalling solve's
+        # 14th iterate is the first within 10 * DEFAULT_TOL: a cap of 12
+        # returns the last iterate as max-iterations, and a cap of 14 returns
+        # that window's iterate as inaccurate
+        for cap, status in ((12, MAX_ITERATIONS), (14, INACCURATE)):
+            monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", cap)
+            face, c, sol = stall_face_solve()
+            assert (sol.status, sol.iterations) == (status, cap)
+            assert passes_relaxed(face, c, sol) == (status == INACCURATE)
 
     def test_solution_reports_the_residuals_of_its_iterate(self, fig1):
         # rel_p, rel_d and rel_gap against a recomputation from the dense
-        # A_i, on the capped face solve above and on fig1's optimal SVCN
-        g = parse_plantri_ascii(CAPPED_LINE)[0]
+        # A_i, on the stalling face solve and on fig1's optimal SVCN
+        g = parse_plantri_ascii(STALL_LINE)[0]
         face = clique_face(g, 4)
         dim, constraints, objective = svcn_instance(fig1)
         cases = [(face, face.constraints,
                   dense_constraints(g.n, face.constraints, face.basis),
-                  symmetrize(face.basis.T @ link_cost(g, CAPPED_LINKS) @ face.basis),
+                  symmetrize(face.basis.T @ link_cost(g, STALL_LINKS) @ face.basis),
                   INACCURATE, 10 * DEFAULT_TOL),
                  (ConstraintMap(dim, constraints), constraints,
                   dense_constraints(dim, constraints), objective, OPTIMAL, DEFAULT_TOL)]
@@ -292,44 +297,33 @@ class TestSolverProperties:
                 assert got == pytest.approx(ref, rel=1e-6, abs=1e-14)
                 assert got <= tol
 
-    def test_face_solve_that_loses_s_returns_relaxed_window(self, monkeypatch):
+    def test_face_solve_that_loses_s_returns_relaxed_window(self):
+        # The stalling solve never meets DEFAULT_TOL: S loses its Cholesky
+        # factor on the 31st iteration, long after its 14th iterate opened
+        # the window at 10 * DEFAULT_TOL, and the numerical-failure exit
+        # returns that window's iterate as inaccurate. Heuristic 1 goes on
+        # to color the graph.
+        face, c, sol = stall_face_solve()
+        assert (sol.status, sol.iterations) == (INACCURATE, 31)
+        assert passes_relaxed(face, c, sol)
+        assert (sol.rel_p, sol.rel_gap) == pytest.approx((1.9e-9, 1.6e-8), rel=0.05)
+        assert sol.rel_d < 1e-15
+        g = parse_plantri_ascii(STALL_LINE)[0]
+        assert certify_cost(g, chromatic_oracle(g)[1]).verdict
+        out = heuristic1(g)
+        assert (out.status, out.solve_count) == ("colored", 6)
+        assert out.coloring.assignment == (1, 1, 2, 4, 1, 3, 3, 4, 2, 2, 3, 4)
         # Heuristic 1's third cost solve on graph #44174 (0-based) of the
-        # generated n = 13 corpus ends optimal, and the heuristic colors the
-        # graph from it. No solve of the generated n = 12 or n = 13 corpus
-        # loses S, so _inverse is made to fail here: on the 10th iteration,
-        # after the iterate that opened the window at 10 * DEFAULT_TOL, the
-        # numerical-failure exit returns that window's iterate as inaccurate
-        # under the cap; on the 9th, before it opened, it returns the
-        # iterate that step started from as numerical-failure.
+        # generated n = 13 corpus keeps both factors and ends optimal, and the
+        # heuristic colors the graph from it
         line = "13 dfhijkl,cefgiklm,bdef,acefi,bcdgi,abcdhl,bei,afjl,abdegk,ahl,abilm,abfhjkm,bkl"
         g = parse_plantri_ascii(line)[0]
         cost = link_cost(g, ((1, 2), (3, 8), (5, 6), (6, 10)))
-        face = clique_face(g, 4)
-        sol = solve_cost(face, cost).face
+        sol = solve_cost(clique_face(g, 4), cost).face
         assert (sol.status, sol.iterations) == (OPTIMAL, 11)
         out = heuristic1(g)
         assert (out.status, out.solve_count) == ("colored", 3)
         assert out.coloring.assignment == (1, 1, 3, 4, 2, 2, 4, 3, 3, 2, 2, 4, 3)
-
-        c = face.basis.T @ cost @ face.basis
-        scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
-        for failing_call, status in ((10, INACCURATE), (9, NUMERICAL_FAILURE)):
-            calls = []
-
-            def inverse(s, chol, failing_call=failing_call):
-                calls.append(None)
-                if len(calls) == failing_call:
-                    raise np.linalg.LinAlgError("S lost")
-                return _inverse(s, chol)
-
-            monkeypatch.setattr(sdp, "_inverse", inverse)
-            sol = solve_cost(face, cost).face
-            assert (sol.status, sol.iterations) == (status, failing_call)
-            primal = np.max(np.abs(face.b - face.gather(sol.X)))
-            dual = np.max(np.abs(c - sol.S - face.scatter(sol.y)))
-            gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
-            passes = max(primal / scale, dual / scale, gap) <= 10 * DEFAULT_TOL
-            assert passes == (status == INACCURATE)
 
     def test_face_solve_past_its_best_merit_ends_optimal(self):
         # Heuristic 2's third cost solve on graph #24250 (0-based) of the
@@ -480,7 +474,7 @@ class TestKernels:
             inv_half = (q / np.sqrt(w)) @ q.T  # P^{-1/2}
             lam = np.linalg.eigvalsh(symmetrize(inv_half @ dp @ inv_half))[0]
             assert lam < 0
-            alpha = _max_step(p, _cholesky(p), dp)
+            alpha = _max_step(_cholesky(p), dp)
             assert abs(alpha - (-1.0 / lam)) <= 1e-10 * (-1.0 / lam), dim
             # p + alpha dp sits on the PSD boundary
             edge = np.linalg.eigvalsh(p + alpha * dp)
@@ -491,30 +485,23 @@ class TestKernels:
         for dim in (3, 7, 12):
             p = random_pd(rng, dim)
             a = rng.normal(size=(dim, dim - 1))
-            assert _max_step(p, _cholesky(p), a @ a.T) == np.inf
-            assert _max_step(p, _cholesky(p), np.zeros((dim, dim))) == np.inf
+            assert _max_step(_cholesky(p), a @ a.T) == np.inf
+            assert _max_step(_cholesky(p), np.zeros((dim, dim))) == np.inf
 
-    def test_max_step_falls_back_on_singular_p(self):
-        p = np.diag([2.0, 1.0, 0.0])
-        dp = -np.eye(3)
-        assert _cholesky(p) is None
-        # the fallback clips p's zero eigenvalue to 1e-14 * 2, so the step is that
-        assert _max_step(p, None, dp) == pytest.approx(2e-14, rel=1e-9)
-        assert _max_step(p, None, np.eye(3)) == np.inf
+    def test_cholesky_raises_on_singular_matrix(self):
+        # a lost factor ends the solve at the numerical-failure exit
+        for p in (np.diag([2.0, 1.0, 0.0]), np.diag([1.0, -1e-300]), np.zeros((1, 1))):
+            with pytest.raises(np.linalg.LinAlgError):
+                _cholesky(p)
 
     def test_inverse_is_exactly_symmetric(self):
         rng = np.random.default_rng(21)
         for dim in (1, 3, 7, 12, 60, 101):
             s = random_pd(rng, dim)
             ref = np.linalg.inv(s)
-            for chol in (_cholesky(s), None):  # from the factor, and the fallback
-                t = _inverse(s, chol)
-                assert np.array_equal(t, t.T), dim
-                assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref)), dim
-        singular = np.diag([1.0, 0.0])
-        assert _cholesky(singular) is None
-        with pytest.raises(np.linalg.LinAlgError):
-            _inverse(singular, None)
+            t = _inverse(_cholesky(s))
+            assert np.array_equal(t, t.T), dim
+            assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref)), dim
 
     def test_factor_solves_spd_system_by_cholesky(self):
         rng = np.random.default_rng(19)

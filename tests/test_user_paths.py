@@ -40,6 +40,13 @@ def _definitions(tree) -> dict:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
+def _module_name(path: Path) -> str:
+    """The module's dotted name within the package: graphs, or fixtures for
+    fixtures/__init__.py."""
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def dead_names() -> list:
     modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
     outside = set()
@@ -48,8 +55,6 @@ def dead_names() -> list:
             outside |= _identifiers(ast.parse(path.read_text()))
     dead = []
     for path, tree in modules.items():
-        if path.parent != PACKAGE:
-            continue
         others = set(outside)
         for other, other_tree in modules.items():
             if other != path:
@@ -65,7 +70,7 @@ def dead_names() -> list:
             reached = set().union(*(refs[name] for name in live)) & defs.keys()
             grew = not reached <= live
             live |= reached
-        dead += [f"{path.stem}.{name}" for name in defs
+        dead += [f"{_module_name(path)}.{name}" for name in defs
                  if not name.startswith("_") and name not in live]
     return dead
 
@@ -76,7 +81,7 @@ def test_every_public_name_has_a_user_path():
 
 def test_allowlisted_names_exist_and_have_reasons():
     defined = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in PACKAGE.rglob("*.py"):
         defined |= _definitions(ast.parse(path.read_text())).keys()
     for name, reason in ALLOWED.items():
         assert name in defined, name
