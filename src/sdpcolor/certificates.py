@@ -161,6 +161,16 @@ def certify_ktree(g: Graph, k: int) -> CertificateReport:
 # Coloring-dependent cost certificate
 # ---------------------------------------------------------------------------
 
+def _cost_dual(cost: np.ndarray, y: np.ndarray, z: dict, k: int) -> DualAssignment:
+    """The cost SDP's dual map at (y, z): S = C - Diag(y) - sum_e z_e (E_ij + E_ji)
+    and the objective sum y_i - (2/(k-1)) sum z_e, for 1-based edges e = (i, j)."""
+    s_mat = cost - np.diag(y)
+    for (i, j), ze in z.items():
+        s_mat[i - 1, j - 1] -= ze
+        s_mat[j - 1, i - 1] -= ze
+    return DualAssignment(tuple(y), z, s_mat, float(y.sum()) - 2.0 * sum(z.values()) / (k - 1))
+
+
 def coloring_cost_matrix(g: Graph, c: Coloring) -> np.ndarray:
     """Cost matrix with -1 linking consecutive same-colored vertices.
 
@@ -200,13 +210,7 @@ def coloring_cost_dual(g: Graph, c: Coloring, clique) -> DualAssignment:
     y = col_sums - in_clique
     clique_edges = {tuple(sorted(e)) for e in combinations(clique, 2)}
     z = {e: (-1.0 if e in clique_edges else 0.0) for e in g.edge_list()}
-    s_mat = cost.copy()
-    s_mat[np.diag_indices(g.n)] -= y
-    for (i, j), ze in z.items():
-        s_mat[i - 1, j - 1] -= ze
-        s_mat[j - 1, i - 1] -= ze
-    dual_obj = float(y.sum()) - 2.0 * sum(z.values()) / (k - 1)
-    return DualAssignment(tuple(y), z, s_mat, dual_obj)
+    return _cost_dual(cost, y, z, k)
 
 
 def certify_cost(g: Graph, c: Coloring) -> CertificateReport:
@@ -284,14 +288,8 @@ def independent_cost(g: Graph, k: int):
     cost = np.eye(n)
     for i, j in g.edges:
         cost[i - 1, j - 1] = cost[j - 1, i - 1] = 1.0
-    y = 1.0 - per_vertex
     z = {e: 1.0 - cnt for e, cnt in per_edge.items()}
-    s_mat = np.zeros((n, n))
-    s_mat[np.diag_indices(n)] = per_vertex
-    for (i, j), cnt in per_edge.items():
-        s_mat[i - 1, j - 1] = s_mat[j - 1, i - 1] = float(cnt)
-    dual_obj = float(y.sum()) - 2.0 * sum(z.values()) / (k - 1)
-    return cost, DualAssignment(tuple(y), z, s_mat, dual_obj)
+    return cost, _cost_dual(cost, 1.0 - per_vertex, z, k)
 
 
 # ---------------------------------------------------------------------------

@@ -167,14 +167,19 @@ def clique_face(g: Graph, k: int) -> FaceMap:
     (i in Q), a constraint combination of b-weight 0, vanishes; FaceMap drops
     the constraints this makes dependent, which the zero b-weight makes sound.
     The face does not depend on the cost, so one serves every cost solve on
-    (g, k).
+    (g, k). When the u_Q span R^n (as for K_5 with k = 4) the face is {0},
+    which misses the unit diagonal, and it raises ValueError.
     """
     constraints = build_cost_sdp(g, k)
     cliques = enumerate_cliques(g, k)
     u = np.zeros((g.n, len(cliques)))
     for col, q in enumerate(cliques):
         u[[v - 1 for v in q], col] = 1.0
-    return FaceMap(sla.null_space(u.T), constraints)
+    basis = sla.null_space(u.T)
+    if basis.shape[1] == 0:
+        raise ValueError(f"the K_{k} indicator vectors span R^{g.n}, so the clique face is {{0}}:"
+                         f" the cost SDP is infeasible and the graph has no {k}-coloring")
+    return FaceMap(basis, constraints)
 
 
 @dataclass(frozen=True)

@@ -27,19 +27,20 @@ the dense m x m Schur complement each iteration by direct LAPACK calls:
 dpotrf/dpotrs, whose solution is used as it is, or, when dpotrf finds a
 leading minor that is not positive definite (near some optima the matrix
 turns numerically singular), a jittered LU (dgetrf/dgetrs), whose solutions
-alone are iteratively refined; lu_steps counts those iterations. X and S
-are Cholesky-factored (dpotrf) once per iterate, and every later step reuses
-the factors. S^-1 comes from S's factor as L^-T L^-1 (dtrtri, then a dsyrk
-product), so it is exactly symmetric, and the Schur matrix and the search
-direction share it. A step length to the PSD boundary is -1/lambda_min of
-the pencil (dP, P), P = X or S, and it needs only that smallest eigenvalue:
-dsygst reduces the pencil with P's factor and dsyevx computes it alone. When
-X or S has no Cholesky factor, the solve ends (the fourth exit below). It is
-deterministic. It assumes independent constraints and a feasible set with an
-interior: when the interior is empty, steps shrink toward the boundary until
-X or S loses its factor or the iteration cap is reached. Pose such a problem
-on the FaceMap of the face that holds its feasible set, as
-formulations.clique_face does for the cost SDP.
+alone are refined, by a fixed two steps against the unjittered matrix;
+lu_steps counts those iterations. X and S are Cholesky-factored (dpotrf) once
+per iterate, and every later step reuses the factors. S^-1 comes from S's
+factor as L^-T L^-1 (dtrtri, then a dsyrk product), so it is exactly
+symmetric, and the Schur matrix and the search direction share it. A step
+length to the PSD boundary is -1/lambda_min of the pencil (dP, P), P = X or
+S, and it needs only that smallest eigenvalue: dsygst reduces the pencil with
+P's factor and dsyevx computes it alone. When X or S has no Cholesky factor,
+the solve ends (the fourth exit below). It is deterministic. It assumes
+independent constraints and a feasible set with an interior: when the
+interior is empty, steps shrink toward the boundary until X or S loses its
+factor or the iteration cap is reached. Pose such a problem on the FaceMap of
+the face that holds its feasible set, as formulations.clique_face does for
+the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate: ||b - A(X)||_max / scale and ||C - S - A*(y)||_max / scale,
@@ -56,9 +57,10 @@ that fired:
   the first iterate whose relative primal residual is within DEFAULT_TOL,
   which, like every iterate, is positive definite in the operator's
   coordinates;
-- the DEFAULT_MAX_ITER cap: the solve returns inaccurate, the same choice
-  from the window at 10 * DEFAULT_TOL when any iterate passed it, or else
-  max-iterations, the last iterate;
+- the DEFAULT_MAX_ITER cap: the iterate that the last allowed step made is
+  measured and offered to both windows like every other, and then the solve
+  returns inaccurate, the same choice from the window at 10 * DEFAULT_TOL
+  when any iterate passed it, or else max-iterations, that last iterate;
 - X or S lost its Cholesky factor, or a direction was not finite: like the
   cap, the solve returns inaccurate with the window's choice at
   10 * DEFAULT_TOL when any iterate passed it, or else numerical-failure,
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack, qr
+from scipy.linalg import lapack
 
 from .linalg import require_symmetric, symmetrize
 
@@ -86,25 +88,22 @@ DEFAULT_MAX_ITER = 200
 _WINDOW = 2  # iterates compared once a tolerance is first met
 _RELAXED = 10.0  # inaccurate: the window at _RELAXED * DEFAULT_TOL
 _REFINE_STEPS = 2
-_EPS = np.finfo(float).eps
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 _SCHUR_BLOCK = 128  # columns of K gathered at a time by ConstraintMap.schur
 
 
-def _check_constraints(constraints, dim: int) -> None:
-    """ValueError unless each constraint has distinct upper-triangle cells, at least one."""
+def _flat_entries(constraints, dim: int) -> tuple:
+    """(row, p, q, coef) arrays: entry s sets A_{row_s}[p_s, q_s] = coef_s, both
+    triangles listed. ValueError unless there is a constraint and each has
+    distinct upper-triangle cells, at least one."""
     if not constraints:
         raise ValueError("at least one constraint required")
-    for entries, _ in constraints:
-        cells = {(r, c) for r, c, _ in entries if 0 <= r <= c < dim}
-        if not entries or len(cells) < len(entries):
+    cells = []
+    for i, (entries, _) in enumerate(constraints):
+        upper = {(r, c) for r, c, _ in entries if 0 <= r <= c < dim}
+        if not entries or len(upper) < len(entries):
             raise ValueError(f"constraint {entries}: not distinct upper-triangle cells")
-
-
-def _flat_entries(constraints) -> tuple:
-    """(row, p, q, coef) arrays: entry s sets A_{row_s}[p_s, q_s] = coef_s, both
-    triangles listed."""
-    cells = [(i, r, c, v) for i, (entries, _) in enumerate(constraints) for r, c, v in entries]
+        cells += [(i, r, c, v) for r, c, v in entries]
     cells += [(i, c, r, v) for i, r, c, v in cells if r != c]
     return tuple(np.array(col) for col in zip(*cells))
 
@@ -130,8 +129,7 @@ class ConstraintMap:
     """
 
     def __init__(self, dim: int, constraints):
-        _check_constraints(constraints, dim)
-        self.row, self.p, self.q, self.coef = _flat_entries(constraints)
+        self.row, self.p, self.q, self.coef = _flat_entries(constraints, dim)
         cells, col = np.unique(self.p * dim + self.q, return_inverse=True)
         self.cell_p, self.cell_q = np.divmod(cells, dim)
         self.b = np.array([bi for _, bi in constraints])
@@ -174,9 +172,9 @@ class FaceMap:
 
     On the face, constraints can turn dependent (a combination of the A_i can
     vanish there), and the solver needs independent rows. FaceMap keeps the
-    ones that pivoted QR of their Gram matrix finds independent, in their
-    original order, as constraints. Dropping a constraint is sound only when
-    b obeys the same dependence; the caller vouches for that.
+    ones that pivoted QR (dgeqp3) of their Gram matrix finds independent, in
+    their original order, as constraints. Dropping a constraint is sound only
+    when b obeys the same dependence; the caller vouches for that.
 
     Row i of rows is vec(V^T A_i V), of length d^2 for V's d columns (V has
     orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
@@ -187,15 +185,14 @@ class FaceMap:
 
     def __init__(self, basis: np.ndarray, constraints: tuple):
         n, d = basis.shape
-        _check_constraints(constraints, n)
-        row, p, q, coef = _flat_entries(constraints)
+        row, p, q, coef = _flat_entries(constraints, n)
         a = np.zeros((len(constraints), n, n))
-        a[row, p, q] = coef  # _check_constraints: each (constraint, cell) pair is distinct
+        a[row, p, q] = coef  # _flat_entries: each (constraint, cell) pair is distinct
         a = basis.T @ a @ basis
         rows = ((a + a.transpose(0, 2, 1)) / 2.0).reshape(-1, d * d)  # exactly symmetric
-        _, r, piv = qr(rows @ rows.T, pivoting=True)
+        r, piv = lapack.dgeqp3(rows @ rows.T)[:2]
         diag = np.abs(np.diag(r))
-        kept = np.sort(piv[diag > 1e-9 * diag[0]])
+        kept = np.sort(piv[diag > 1e-9 * diag[0]] - 1)  # jpvt is 1-based
         self.constraints = tuple(constraints[i] for i in kept)
         self.basis = basis
         self.order = d
@@ -220,7 +217,7 @@ class FaceMap:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """The returned iterate, its objectives and status, and the loop's counts:
+    """The returned iterate, its primal objective and status, and the loop's counts:
     iterations run, and lu_steps, how many of them factored the Schur matrix
     by the jittered LU because dpotrf failed. rel_p, rel_d and rel_gap are
     the returned iterate's relative primal and dual residuals and relative
@@ -230,7 +227,6 @@ class SdpSolution:
     y: np.ndarray
     S: np.ndarray
     primal_obj: float
-    dual_obj: float
     status: str
     iterations: int
     lu_steps: int
@@ -294,10 +290,9 @@ class _Factor:
 
     LAPACK's dpotrf/dpotrs, called directly; Cholesky is backward stable, so
     its solution is returned as it is. When dpotrf reports a leading minor that
-    is not positive definite, a jittered LU (dgetrf/dgetrs) takes over, and up
-    to two steps of iterative refinement against the unjittered matrix follow,
-    stopping once the residual h - M x is at roundoff level, eps (||M|| ||x|| +
-    ||h||) in the max norm with ||M|| the max row sum.
+    is not positive definite, a jittered LU (dgetrf/dgetrs) takes over, and
+    _REFINE_STEPS steps of iterative refinement against the unjittered matrix
+    follow, with no stopping test.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -305,7 +300,6 @@ class _Factor:
         if info != 0:
             self._cho = None
             self._mat = mat
-            self._norm = np.abs(mat).sum(axis=1).max()
             jitter = 1e-12 * (1.0 + float(np.trace(mat)) / mat.shape[0])
             self._lu, self._piv, _ = lapack.dgetrf(mat + jitter * np.eye(mat.shape[0]))
 
@@ -313,13 +307,8 @@ class _Factor:
         if self._cho is not None:
             return lapack.dpotrs(self._cho, h, lower=1)[0]
         x = lapack.dgetrs(self._lu, self._piv, h)[0]
-        h_max = np.abs(h).max()
         for _ in range(_REFINE_STEPS):
-            r = h - self._mat @ x
-            # written so that a NaN residual also stops refining
-            if not np.abs(r).max() > _EPS * (self._norm * np.abs(x).max() + h_max):
-                break
-            x = x + lapack.dgetrs(self._lu, self._piv, r)[0]
+            x = x + lapack.dgetrs(self._lu, self._piv, h - self._mat @ x)[0]
         return x
 
 
@@ -355,7 +344,7 @@ class _Window:
         if rel_p <= self.tol and rel_d <= self.tol and rel_gap <= self.tol:
             xs = _inner(x, s)
             if xs < self.xs:
-                self.iterate = (x.copy(), y.copy(), s.copy())
+                self.iterate = (x, y, s)  # no step writes an iterate in place
                 self.xs = xs
         if self.iterate is not None:
             self.seen += 1
@@ -399,12 +388,12 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         rel_p = float(np.abs(rp).max()) / res_scale
         rel_d = float(np.abs(rd).max()) / res_scale
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        return rp, rd, pobj, dobj, rel_p, rel_d, rel_gap
+        return rp, rd, pobj, rel_p, rel_d, rel_gap
 
     zero_objective = not c.any()
 
-    for it in range(1, DEFAULT_MAX_ITER + 1):
-        rp, rd, _, _, rel_p, rel_d, rel_gap = measure(x, y, s)
+    for it in range(1, DEFAULT_MAX_ITER + 2):  # the last pass measures the capped iterate
+        rp, rd, _, rel_p, rel_d, rel_gap = measure(x, y, s)
         if zero_objective and rel_p <= DEFAULT_TOL:
             # (0, 0) is an exact dual optimum of C = 0, so any feasible X is optimal
             y, s = np.zeros(b.size), np.zeros((ell, ell))
@@ -415,6 +404,8 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         if strict.closed:
             x, y, s = strict.iterate
             status = OPTIMAL
+            break
+        if it > DEFAULT_MAX_ITER:
             break
         iterations = it
 
@@ -459,6 +450,5 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         x, y, s = relaxed.iterate
         status = INACCURATE
 
-    _, _, pobj, dobj, rel_p, rel_d, rel_gap = measure(x, y, s)
-    return SdpSolution(x, y, s, pobj, dobj, status, iterations, lu_steps,
-                       rel_p, rel_d, rel_gap)
+    _, _, pobj, rel_p, rel_d, rel_gap = measure(x, y, s)
+    return SdpSolution(x, y, s, pobj, status, iterations, lu_steps, rel_p, rel_d, rel_gap)

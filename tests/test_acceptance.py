@@ -250,9 +250,10 @@ def test_criterion_10_solver_properties():
         dim = int(rng.integers(3, 9))
         m = int(rng.integers(1, dim))
         constraints, objective, c_diag, rows, b = diagonal_lp_instance(rng, dim, m)
-        sol = solve(ConstraintMap(dim, constraints), objective)
+        ops = ConstraintMap(dim, constraints)
+        sol = solve(ops, objective)
         assert sol.status == OPTIMAL
-        assert sol.primal_obj >= sol.dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
+        assert sol.primal_obj >= float(ops.b @ sol.y) - 1e-7 * (1 + abs(sol.primal_obj))
         verdict, *_ = check_complementarity(sol.X, sol.S, tol=1e-5)
         assert verdict
         lp = linprog(c_diag, A_eq=rows, b_eq=b, bounds=(0, None), method="highs")

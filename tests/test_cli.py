@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import re
 import shlex
@@ -8,12 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path
+from conftest import complete_graph, fixture_path
 from sdpcolor import batch, fixtures
 from sdpcolor.batch import BatchReport, BatchRow, emit_report, run_batch
 from sdpcolor.cli import build_parser, cli_main
 from sdpcolor.fixtures import corpus_name, fixture_text, load_corpus, load_figure
-from sdpcolor.graphs import GraphParseError, find_clique, parse_edge_list, plantri_line
+from sdpcolor.graphs import (
+    GraphParseError,
+    edge_list_text,
+    find_clique,
+    parse_edge_list,
+    plantri_line,
+)
 from sdpcolor.heuristics import CYCLE, EXHAUSTED, FAILED
 from test_heuristics import CYCLING
 
@@ -68,6 +75,14 @@ class TestExitCodes:
         path.write_text("3 0\n")
         assert cli_main(argv + ["--graph", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("algo", ["1", "2"])
+    def test_color_on_k5_names_the_empty_face(self, capsys, tmp_path, algo):
+        path = tmp_path / "k5.edges"
+        path.write_text(edge_list_text(complete_graph(5)))
+        assert cli_main(["color", "--algo", algo, "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "clique face is {0}" in err
 
     def test_usage_error_exit_two(self):
         assert cli_main(["no-such-command"]) == 2
@@ -375,6 +390,33 @@ def readme_commands() -> list:
             if words[:1] == ["sdpcolor"]:
                 commands.append(words[1:])
     return commands
+
+
+# every subcommand that takes --graph, with the options it requires besides
+SWEEP = (["svcn"], ["certify-ktree"], ["certify-cost"], ["color", "--algo", "1"],
+         ["color", "--algo", "2"], ["oracle"], ["blend"], ["independent-cost"])
+
+
+def test_sweep_covers_every_graph_subcommand():
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    takes_graph = {name for name, p in subparsers.choices.items()
+                   if any("--graph" in a.option_strings for a in p._actions)}
+    assert {argv[0] for argv in SWEEP} == takes_graph
+
+
+@pytest.mark.parametrize("text", [edge_list_text(complete_graph(5)), "1 0\n"],
+                         ids=["k5", "one-vertex"])
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_graph_subcommand_sweep(capsys, tmp_path, argv, text):
+    # a guard against crashes: a verdict or a refusal, never a traceback
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code = cli_main(argv + ["--graph", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
 
 def test_readme_commands_parse():

@@ -168,6 +168,12 @@ class TestHeuristicRuns:
         with pytest.raises(ValueError):
             heuristic1(path_graph(4))
 
+    def test_empty_clique_face_names_its_cause(self):
+        # K_5's five K_4 indicator vectors span R^5, so its clique face is {0}
+        for runner in (heuristic1, heuristic2):
+            with pytest.raises(ValueError, match=r"clique face is \{0\}.* no 4-coloring"):
+                runner(complete_graph(5))
+
     @pytest.mark.parametrize("name", sorted(CYCLING))
     def test_repeated_state_ends_cycle(self, name):
         line, solves, classes = CYCLING[name]

@@ -97,6 +97,11 @@ def solved_batch():
             for dim, constraints, objective in instances]
 
 
+def dual_objective(constraints, sol):
+    """b^T y, the dual objective of sol's y."""
+    return float(np.array([bi for _, bi in constraints]) @ sol.y)
+
+
 def link_cost(g, links):
     """g's cost matrix with -1 at each link (i, j) of 1-based vertices."""
     cost = np.zeros((g.n, g.n))
@@ -124,7 +129,7 @@ def passes_relaxed(face, c, sol):
     scale = 1.0 + np.max(np.abs(face.b)) + np.max(np.abs(c))
     primal = np.max(np.abs(face.b - face.gather(sol.X))) / scale
     dual = np.max(np.abs(c - sol.S - face.scatter(sol.y))) / scale
-    gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj))
+    gap = abs(sol.primal_obj - float(face.b @ sol.y)) / (1.0 + abs(sol.primal_obj))
     return max(primal, dual, gap) <= 10 * DEFAULT_TOL
 
 
@@ -138,9 +143,10 @@ def residuals(dim, constraints, objective, sol):
 
 class TestSolverProperties:
     def test_weak_duality(self, solved_batch):
-        for *_, sol in solved_batch:
+        for _, constraints, _, sol in solved_batch:
             if sol.status == OPTIMAL:
-                assert sol.primal_obj >= sol.dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
+                dual_obj = dual_objective(constraints, sol)
+                assert sol.primal_obj >= dual_obj - 1e-7 * (1 + abs(sol.primal_obj))
 
     def test_optimal_invariants(self, solved_batch):
         for dim, constraints, objective, sol in solved_batch:
@@ -151,7 +157,7 @@ class TestSolverProperties:
             primal_inf, dual_inf = residuals(dim, constraints, objective, sol)
             assert primal_inf <= 1e-8 * scale
             assert dual_inf <= 1e-8 * scale
-            gap = abs(sol.primal_obj - sol.dual_obj)
+            gap = abs(sol.primal_obj - dual_objective(constraints, sol))
             assert gap <= 1e-8 * (1.0 + abs(sol.primal_obj))
             assert min_eigenvalue(sol.X) >= -1e-9
             assert min_eigenvalue(sol.S) >= -1e-9
@@ -228,7 +234,7 @@ class TestSolverProperties:
             sol = solve(face, np.zeros((order, order)))
             assert (sol.status, sol.iterations, sol.lu_steps) == (OPTIMAL, iterations, 0)
             assert not sol.y.any() and not sol.S.any()
-            assert sol.primal_obj == sol.dual_obj == 0.0
+            assert sol.primal_obj == float(face.b @ sol.y) == 0.0
             scale = 1.0 + np.max(np.abs(face.b))
             assert np.max(np.abs(face.b - face.gather(sol.X))) <= DEFAULT_TOL * scale
             assert min_eigenvalue(sol.X) > 0.0
@@ -263,10 +269,11 @@ class TestSolverProperties:
     def test_capped_face_solve_returns_relaxed_window(self, monkeypatch):
         # No solve of the parity sets reaches the cap, so it is lowered here
         # (solve reads DEFAULT_MAX_ITER when called). The stalling solve's
-        # 14th iterate is the first within 10 * DEFAULT_TOL: a cap of 12
-        # returns the last iterate as max-iterations, and a cap of 14 returns
-        # that window's iterate as inaccurate
-        for cap, status in ((12, MAX_ITERATIONS), (14, INACCURATE)):
+        # 14th iterate, the one its 13th step makes, is the first within
+        # 10 * DEFAULT_TOL. The capped iterate is measured too, so a cap of 12
+        # returns the 13th iterate as max-iterations, and caps of 13 and 14
+        # return that window's iterate as inaccurate
+        for cap, status in ((12, MAX_ITERATIONS), (13, INACCURATE), (14, INACCURATE)):
             monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", cap)
             face, c, sol = stall_face_solve()
             assert (sol.status, sol.iterations) == (status, cap)
