@@ -60,7 +60,7 @@ def _cmd_svcn(args) -> int:
     print(
         f"objective={summary.objective:.6f} primal_rank={summary.rank_primal}"
         f" dual_rank={summary.rank_dual} status={sol.status}"
-        f" iterations={sol.iterations} lu_steps={sol.lu_steps}"
+        f" iterations={sol.iterations} pivoted_steps={sol.pivoted_steps}"
     )
     return 0 if sol.optimal else 1
 
@@ -173,8 +173,11 @@ def _cmd_independent_cost(args) -> int:
     g = _read_graph(args.graph)
     k = args.colors
     cost, assignment = independent_cost(g, k)
+    chi, coloring = chromatic_oracle(g)
+    if chi > k:
+        print(f"graph is not {k}-colorable", file=sys.stderr)
+        return 1
     lam = min_eigenvalue(assignment.S)
-    _, coloring = chromatic_oracle(g)
     x_ref = reference_solution(g, coloring)
     gap = abs(float(np.sum(cost * x_ref)) - assignment.dual_obj)
     cliques = len(enumerate_cliques(g, k))

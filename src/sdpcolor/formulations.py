@@ -165,10 +165,11 @@ def clique_face(g: Graph, k: int) -> FaceMap:
     steps toward it stall. V is an orthonormal basis of the complement of the
     u_Q (the identity when g has no K_k). On the face, u_Q e_i^T + e_i u_Q^T
     (i in Q), a constraint combination of b-weight 0, vanishes; FaceMap drops
-    the constraints this makes dependent, which the zero b-weight makes sound.
-    The face does not depend on the cost, so one serves every cost solve on
-    (g, k). When the u_Q span R^n (as for K_5 with k = 4) the face is {0},
-    which misses the unit diagonal, and it raises ValueError.
+    the constraints this makes dependent, and raises ValueError when b does
+    not obey a dropped dependence (C_5 joined with K_2): the face then holds
+    no feasible point, so g has no k-coloring. One face serves every cost
+    solve on (g, k). When the u_Q span R^n (as for K_5 with k = 4) the face
+    is {0}, which misses the unit diagonal, and it raises ValueError.
     """
     constraints = build_cost_sdp(g, k)
     cliques = enumerate_cliques(g, k)

@@ -24,23 +24,19 @@ and it takes C in that operator's coordinates. The caller picks the operator:
 The solver is an infeasible-start primal-dual path-following method with the
 symmetrized XS linearization and a Mehrotra predictor-corrector step, solving
 the dense m x m Schur complement each iteration by direct LAPACK calls:
-dpotrf/dpotrs, whose solution is used as it is, or, when dpotrf finds a
-leading minor that is not positive definite (near some optima the matrix
-turns numerically singular), a jittered LU (dgetrf/dgetrs), whose solutions
-alone are refined, by a fixed two steps against the unjittered matrix;
-lu_steps counts those iterations. X and S are Cholesky-factored (dpotrf) once
-per iterate, and every later step reuses the factors. S^-1 comes from S's
-factor as L^-T L^-1 (dtrtri, then a dsyrk product), so it is exactly
-symmetric, and the Schur matrix and the search direction share it. A step
-length to the PSD boundary is -1/lambda_min of the pencil (dP, P), P = X or
-S, and it needs only that smallest eigenvalue: dsygst reduces the pencil with
-P's factor and dsyevx computes it alone. When X or S has no Cholesky factor,
-the solve ends (the fourth exit below). It is deterministic. It assumes
-independent constraints and a feasible set with an interior: when the
-interior is empty, steps shrink toward the boundary until X or S loses its
-factor or the iteration cap is reached. Pose such a problem on the FaceMap of
-the face that holds its feasible set, as formulations.clique_face does for
-the cost SDP.
+dpotrf/dpotrs, or, when dpotrf fails (near an optimum that is not strictly
+complementary the matrix loses rank), the pivoted Cholesky dpstrf on the rows
+it keeps (_Factor); pivoted_steps counts those iterations. X and S are
+Cholesky-factored (dpotrf) once per iterate, and every later step reuses the
+factors: S^-1, exactly symmetric, which the Schur matrix and the search
+direction share (_inverse), and the step lengths to the PSD boundary, each
+the smallest eigenvalue of a reduced pencil (_max_step). When X or S has no
+Cholesky factor, or the Schur matrix keeps no row, the solve ends (the
+fourth exit below). It is deterministic. It assumes independent constraints
+and a feasible set with an interior: when the interior is empty, steps
+shrink toward the boundary until that exit fires or the iteration cap is
+reached. Pose such a problem on the FaceMap of the face that holds its
+feasible set, as formulations.clique_face does for the cost SDP.
 
 Relative primal and dual residuals and the relative duality gap are measured
 at every iterate: ||b - A(X)||_max / scale and ||C - S - A*(y)||_max / scale,
@@ -61,11 +57,11 @@ that fired:
   measured and offered to both windows like every other, and then the solve
   returns inaccurate, the same choice from the window at 10 * DEFAULT_TOL
   when any iterate passed it, or else max-iterations, that last iterate;
-- X or S lost its Cholesky factor, or a direction was not finite: like the
-  cap, the solve returns inaccurate with the window's choice at
-  10 * DEFAULT_TOL when any iterate passed it, or else numerical-failure,
-  the iterate that step started from. An inaccurate solve under the cap
-  ended here.
+- X or S lost its Cholesky factor, the Schur matrix kept no row, or a
+  direction was not finite: like the cap, the solve returns inaccurate with
+  the window's choice at 10 * DEFAULT_TOL when any iterate passed it, or else
+  numerical-failure, the iterate that step started from. An inaccurate solve
+  under the cap ended here.
 """
 
 from __future__ import annotations
@@ -87,7 +83,6 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _WINDOW = 2  # iterates compared once a tolerance is first met
 _RELAXED = 10.0  # inaccurate: the window at _RELAXED * DEFAULT_TOL
-_REFINE_STEPS = 2
 _GAMMA_FLOOR = 0.9  # fraction to the cone boundary; adapts up to 0.99
 _SCHUR_BLOCK = 128  # columns of K gathered at a time by ConstraintMap.schur
 
@@ -174,7 +169,9 @@ class FaceMap:
     vanish there), and the solver needs independent rows. FaceMap keeps the
     ones that pivoted QR (dgeqp3) of their Gram matrix finds independent, in
     their original order, as constraints. Dropping a constraint is sound only
-    when b obeys the same dependence; the caller vouches for that.
+    when b obeys the same dependence, checked by least squares on the kept
+    rows: when it does not, the face holds no feasible point, and it raises
+    ValueError.
 
     Row i of rows is vec(V^T A_i V), of length d^2 for V's d columns (V has
     orthonormal columns). A(W) is rows @ vec(W), A*(y) is rows^T y as a d x d
@@ -190,15 +187,23 @@ class FaceMap:
         a[row, p, q] = coef  # _flat_entries: each (constraint, cell) pair is distinct
         a = basis.T @ a @ basis
         rows = ((a + a.transpose(0, 2, 1)) / 2.0).reshape(-1, d * d)  # exactly symmetric
-        r, piv = lapack.dgeqp3(rows @ rows.T)[:2]
+        gram = rows @ rows.T
+        r, piv = lapack.dgeqp3(gram)[:2]
         diag = np.abs(np.diag(r))
         kept = np.sort(piv[diag > 1e-9 * diag[0]] - 1)  # jpvt is 1-based
+        b = np.array([bi for _, bi in constraints])
+        # every row's least-squares fit on the kept rows, whose Gram block is definite
+        fit = lapack.dpotrs(_cholesky(gram[np.ix_(kept, kept)]), gram[kept], lower=1)[0]
+        gap = np.abs(b - b[kept] @ fit)
+        if gap.max() > DEFAULT_TOL * (1.0 + np.abs(b).max()):
+            raise ValueError(f"constraint {gap.argmax()} depends on the others on this face, but"
+                             f" its b is off by {gap.max():.3g}: the face holds no feasible point")
         self.constraints = tuple(constraints[i] for i in kept)
         self.basis = basis
         self.order = d
         self.rows = rows[kept]
         self.mats = self.rows.reshape(-1, d, d)
-        self.b = np.array([bi for _, bi in self.constraints])
+        self.b = b[kept]
 
     def gather(self, w: np.ndarray) -> np.ndarray:
         """A(W)_i = vec(V^T A_i V) . vec(W)."""
@@ -218,9 +223,9 @@ class FaceMap:
 @dataclass(frozen=True)
 class SdpSolution:
     """The returned iterate, its primal objective and status, and the loop's counts:
-    iterations run, and lu_steps, how many of them factored the Schur matrix
-    by the jittered LU because dpotrf failed. rel_p, rel_d and rel_gap are
-    the returned iterate's relative primal and dual residuals and relative
+    iterations run, and pivoted_steps, how many of them factored the Schur
+    matrix by dpstrf because dpotrf failed. rel_p, rel_d and rel_gap are the
+    returned iterate's relative primal and dual residuals and relative
     duality gap, as the loop measures them (see the module docstring)."""
 
     X: np.ndarray
@@ -229,7 +234,7 @@ class SdpSolution:
     primal_obj: float
     status: str
     iterations: int
-    lu_steps: int
+    pivoted_steps: int
     rel_p: float
     rel_d: float
     rel_gap: float
@@ -286,29 +291,30 @@ def _inverse(chol: np.ndarray) -> np.ndarray:
 
 
 class _Factor:
-    """Factor a symmetric positive definite system once; solve it.
+    """Factor a symmetric positive semidefinite system once; solve it.
 
     LAPACK's dpotrf/dpotrs, called directly; Cholesky is backward stable, so
-    its solution is returned as it is. When dpotrf reports a leading minor that
-    is not positive definite, a jittered LU (dgetrf/dgetrs) takes over, and
-    _REFINE_STEPS steps of iterative refinement against the unjittered matrix
-    follow, with no stopping test.
+    its solution is returned as it is. When dpotrf finds a leading minor that
+    is not positive definite, the pivoted Cholesky dpstrf (default tolerance)
+    keeps the rows whose pivots it accepts, listed in kept (None on the
+    dpotrf path): dpotrs solves on them with the leading rank x rank block of
+    its factor, and the solution is 0 on the rest. Rank 0 raises LinAlgError.
     """
 
     def __init__(self, mat: np.ndarray):
         self._cho, info = lapack.dpotrf(mat, lower=1, clean=0)
+        self.kept = None
         if info != 0:
-            self._cho = None
-            self._mat = mat
-            jitter = 1e-12 * (1.0 + float(np.trace(mat)) / mat.shape[0])
-            self._lu, self._piv, _ = lapack.dgetrf(mat + jitter * np.eye(mat.shape[0]))
+            cho, piv, rank, _ = lapack.dpstrf(mat, lower=1)
+            if rank == 0:
+                raise np.linalg.LinAlgError("Schur matrix of rank 0")
+            self._cho, self.kept = cho[:rank, :rank], piv[:rank] - 1  # piv is 1-based
 
     def solve(self, h: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
+        if self.kept is None:
             return lapack.dpotrs(self._cho, h, lower=1)[0]
-        x = lapack.dgetrs(self._lu, self._piv, h)[0]
-        for _ in range(_REFINE_STEPS):
-            x = x + lapack.dgetrs(self._lu, self._piv, h - self._mat @ x)[0]
+        x = np.zeros_like(h)
+        x[self.kept] = lapack.dpotrs(self._cho, h[self.kept], lower=1)[0]
         return x
 
 
@@ -323,7 +329,7 @@ class _Window:
     complementarity of optimal solves; the heuristics read no rank. A longer
     window moves none of the SVCN ranks on fig1 or on 4-trees of 60-100
     vertices, and near their degenerate optima its extra iterations are the
-    ones whose Schur matrix needs the LU fallback. A zero objective never
+    ones whose Schur matrix needs the pivoted fallback. A zero objective never
     opens the window: its first feasible iterate ends the solve with the
     exact dual pair (0, 0), whose X . S is 0.
     """
@@ -375,7 +381,7 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
 
     status = MAX_ITERATIONS
     iterations = 0
-    lu_steps = 0
+    pivoted_steps = 0
     gamma = _GAMMA_FLOOR
     strict = _Window(DEFAULT_TOL)
     relaxed = _Window(_RELAXED * DEFAULT_TOL)
@@ -413,7 +419,7 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
             x_chol, s_chol = _cholesky(x), _cholesky(s)
             s_inv = _inverse(s_chol)
             schur = _Factor(symmetrize(ops.schur(x, s_inv)))
-            lu_steps += schur._cho is None
+            pivoted_steps += schur.kept is not None
 
             xs = x @ s
             xrd = x @ rd
@@ -435,7 +441,7 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
             sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.1
             rc = sigma * mu * eye - xs - dx_a @ ds_a
             dx, dy, ds = direction(rc)
-        except np.linalg.LinAlgError:  # X or S lost its factor, or a direction not finite
+        except np.linalg.LinAlgError:  # a lost factor, a Schur rank of 0, a direction not finite
             status = NUMERICAL_FAILURE
             break
         alpha_p = min(1.0, gamma * _max_step(x_chol, dx))
@@ -451,4 +457,4 @@ def solve(ops: ConstraintMap | FaceMap, objective: np.ndarray) -> SdpSolution:
         status = INACCURATE
 
     _, _, pobj, rel_p, rel_d, rel_gap = measure(x, y, s)
-    return SdpSolution(x, y, s, pobj, status, iterations, lu_steps, rel_p, rel_d, rel_gap)
+    return SdpSolution(x, y, s, pobj, status, iterations, pivoted_steps, rel_p, rel_d, rel_gap)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_graph, fixture_path
+from conftest import complete_graph, cycle_join_k2, fixture_path
 from sdpcolor import batch, fixtures
 from sdpcolor.batch import BatchReport, BatchRow, emit_report, run_batch
 from sdpcolor.cli import build_parser, cli_main
@@ -35,7 +35,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "objective=-0.333333" in out
-        assert " lu_steps=0" in out
+        assert " pivoted_steps=0" in out
 
     def test_color_failure_exit_one(self, capsys):
         code = cli_main(["color", "--algo", "1", "--graph", fixture_path("fig3.edges")])
@@ -83,6 +83,16 @@ class TestExitCodes:
         assert cli_main(["color", "--algo", algo, "--graph", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "clique face is {0}" in err
+
+    @pytest.mark.parametrize("algo", ["1", "2"])
+    def test_color_on_cycle_join_k2_names_the_infeasible_face(self, capsys, tmp_path, algo):
+        path = tmp_path / "c5k2.edges"
+        path.write_text(edge_list_text(cycle_join_k2()))
+        assert cli_main(["color", "--algo", algo, "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "no feasible point" in line
+        assert captured.out == ""
 
     def test_usage_error_exit_two(self):
         assert cli_main(["no-such-command"]) == 2
@@ -141,6 +151,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict=True" in out
+
+    @pytest.mark.parametrize("graph", [complete_graph(5), cycle_join_k2()],
+                             ids=["k5", "c5-join-k2"])
+    def test_independent_cost_without_a_k_coloring(self, capsys, tmp_path, graph):
+        # both have a K_4 but chromatic number 5: no objective gap to measure
+        path = tmp_path / "g.edges"
+        path.write_text(edge_list_text(graph))
+        assert cli_main(["independent-cost", "--graph", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "graph is not 4-colorable\n"
 
     def test_certify_cost(self, capsys):
         code = cli_main(["certify-cost", "--graph", fixture_path("fig4.edges")])
@@ -405,8 +425,9 @@ def test_sweep_covers_every_graph_subcommand():
     assert {argv[0] for argv in SWEEP} == takes_graph
 
 
-@pytest.mark.parametrize("text", [edge_list_text(complete_graph(5)), "1 0\n"],
-                         ids=["k5", "one-vertex"])
+@pytest.mark.parametrize("text", [edge_list_text(complete_graph(5)), "1 0\n",
+                                  edge_list_text(cycle_join_k2())],
+                         ids=["k5", "one-vertex", "c5-join-k2"])
 @pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
 def test_graph_subcommand_sweep(capsys, tmp_path, argv, text):
     # a guard against crashes: a verdict or a refusal, never a traceback

@@ -114,7 +114,7 @@ class TestBuildCostSdp:
         # still ends a zero-objective solve
         g = complete_graph(4)
         sol = solve(ConstraintMap(g.n, build_cost_sdp(g, 4)), np.zeros((4, 4)))
-        assert (sol.status, sol.iterations, sol.lu_steps) == (OPTIMAL, 5, 0)
+        assert (sol.status, sol.iterations, sol.pivoted_steps) == (OPTIMAL, 5, 0)
         assert abs(sol.primal_obj) <= 1e-7
 
     def test_coloring_cost_objective_is_cost_sum(self):

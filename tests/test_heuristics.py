@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_join_k2, path_graph
 from sdpcolor import heuristics
 from sdpcolor.certificates import certify_cost
 from sdpcolor.formulations import clique_face
@@ -173,6 +173,13 @@ class TestHeuristicRuns:
         for runner in (heuristic1, heuristic2):
             with pytest.raises(ValueError, match=r"clique face is \{0\}.* no 4-coloring"):
                 runner(complete_graph(5))
+
+    def test_infeasible_clique_face_names_its_cause(self):
+        # C_5 joined with K_2 has a clique face of order 2, but the constraints
+        # it drops ask for b that the kept ones contradict
+        for runner in (heuristic1, heuristic2):
+            with pytest.raises(ValueError, match="no feasible point"):
+                runner(cycle_join_k2())
 
     @pytest.mark.parametrize("name", sorted(CYCLING))
     def test_repeated_state_ends_cycle(self, name):

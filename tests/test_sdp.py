@@ -110,18 +110,24 @@ def link_cost(g, links):
     return cost
 
 
-# Heuristic 1's third cost solve on graph #7231 (0-based) of the generated
-# n = 12 corpus, which never meets DEFAULT_TOL: its graph and its cost's links
-STALL_LINE = "12 dfijkl,cdfghik,bdeg,abcefi,cdgi,abdhj,bcei,bfjk,abdegk,afhkl,abhijl,ajk"
-STALL_LINKS = ((1, 2), (3, 10), (6, 11), (8, 12))
+# Heuristic 1's third cost solves on two corpus graphs (0-based indices): the
+# graph and the links of its cost. On graph #7231 of the generated n = 12
+# corpus the Schur matrix loses rank from the 15th iteration on, and the
+# pivoted Cholesky takes the solve to DEFAULT_TOL; on graph #45223 of the
+# generated n = 13 corpus the solve never meets DEFAULT_TOL.
+RANK_LOSS = ("12 dfijkl,cdfghik,bdeg,abcefi,cdgi,abdhj,bcei,bfjk,abdegk,afhkl,abhijl,ajk",
+             ((1, 2), (3, 10), (6, 11), (8, 12)))
+STALL = ("13 dfhikm,cefghik,bdef,acefi,bcdgi,abcdh,bei,abfjklm,abdegk,hkl,abhijlm,hjkm,ahkl",
+         ((1, 2), (2, 12), (3, 8), (10, 13)))
 
 
-def stall_face_solve():
-    """(face, projected cost, solution) of the stalling solve."""
-    g = parse_plantri_ascii(STALL_LINE)[0]
-    cost = link_cost(g, STALL_LINKS)
+def face_solve(case):
+    """(graph, face, projected cost, solution) of one of the solves above."""
+    line, links = case
+    g = parse_plantri_ascii(line)[0]
+    cost = link_cost(g, links)
     face = clique_face(g, 4)
-    return face, face.basis.T @ cost @ face.basis, solve_cost(face, cost).face
+    return g, face, symmetrize(face.basis.T @ cost @ face.basis), solve_cost(face, cost).face
 
 
 def passes_relaxed(face, c, sol):
@@ -177,13 +183,13 @@ class TestSolverProperties:
         assert abs(a.primal_obj - b.primal_obj) <= 1e-12
         assert np.array_equal(a.X, b.X)
 
-    def test_lu_fallback_is_counted(self, fig1):
+    def test_pivoted_fallback_is_counted(self, fig1):
         # the Schur matrix of a 3-tree's SVCN turns numerically singular near
         # its (primal-degenerate) optimum; fig1's never does
-        assert solve_svcn(fig1).solution.lu_steps == 0
+        assert solve_svcn(fig1).solution.pivoted_steps == 0
         sol = solve_svcn(generate_ktree(4, 60, 20240811)[0]).solution
         assert sol.status == OPTIMAL
-        assert 0 < sol.lu_steps <= sol.iterations
+        assert 0 < sol.pivoted_steps <= sol.iterations
 
     def test_svcn_ranks_within_iteration_bound(self, fig1):
         # the post-tolerance window serves these rank counts: the first passing
@@ -216,10 +222,11 @@ class TestSolverProperties:
     def test_infeasible_problem_degrades_gracefully(self):
         # X_11 = -1 contradicts positive semidefiniteness, so no iterate is
         # ever feasible. The iterates run toward the boundary of the cone
-        # until X or S loses its Cholesky factor, and the numerical-failure
-        # exit ends the solve well under the cap
+        # until the 1 x 1 Schur matrix underflows to 0 (C = I) or a search
+        # direction overflows (C = 0), and the numerical-failure exit ends
+        # the solve well under the cap
         ops = ConstraintMap(2, [([(0, 0, 1.0)], -1.0)])
-        for objective, status, iterations in ((np.eye(2), NUMERICAL_FAILURE, 176),
+        for objective, status, iterations in ((np.eye(2), NUMERICAL_FAILURE, 19),
                                               (np.zeros((2, 2)), NUMERICAL_FAILURE, 18)):
             with np.errstate(over="ignore", invalid="ignore"):
                 sol = solve(ops, objective)
@@ -232,7 +239,7 @@ class TestSolverProperties:
         for g, order, iterations in ((complete_graph(4), 3, 1), (fig3, 9, 2)):
             face = clique_face(g, 4)
             sol = solve(face, np.zeros((order, order)))
-            assert (sol.status, sol.iterations, sol.lu_steps) == (OPTIMAL, iterations, 0)
+            assert (sol.status, sol.iterations, sol.pivoted_steps) == (OPTIMAL, iterations, 0)
             assert not sol.y.any() and not sol.S.any()
             assert sol.primal_obj == float(face.b @ sol.y) == 0.0
             scale = 1.0 + np.max(np.abs(face.b))
@@ -268,31 +275,29 @@ class TestSolverProperties:
 
     def test_capped_face_solve_returns_relaxed_window(self, monkeypatch):
         # No solve of the parity sets reaches the cap, so it is lowered here
-        # (solve reads DEFAULT_MAX_ITER when called). The stalling solve's
-        # 14th iterate, the one its 13th step makes, is the first within
-        # 10 * DEFAULT_TOL. The capped iterate is measured too, so a cap of 12
-        # returns the 13th iterate as max-iterations, and caps of 13 and 14
-        # return that window's iterate as inaccurate
+        # (solve reads DEFAULT_MAX_ITER when called). Graph #7231's solve
+        # has its 14th iterate, the one its 13th step makes, as the first
+        # within 10 * DEFAULT_TOL. The capped iterate is measured too, so a
+        # cap of 12 returns the 13th iterate as max-iterations, and caps of 13
+        # and 14 return that window's iterate as inaccurate
         for cap, status in ((12, MAX_ITERATIONS), (13, INACCURATE), (14, INACCURATE)):
             monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", cap)
-            face, c, sol = stall_face_solve()
+            _, face, c, sol = face_solve(RANK_LOSS)
             assert (sol.status, sol.iterations) == (status, cap)
             assert passes_relaxed(face, c, sol) == (status == INACCURATE)
 
     def test_solution_reports_the_residuals_of_its_iterate(self, fig1):
         # rel_p, rel_d and rel_gap against a recomputation from the dense
-        # A_i, on the stalling face solve and on fig1's optimal SVCN
-        g = parse_plantri_ascii(STALL_LINE)[0]
-        face = clique_face(g, 4)
+        # A_i, on the two face solves and on fig1's optimal SVCN
         dim, constraints, objective = svcn_instance(fig1)
-        cases = [(face, face.constraints,
-                  dense_constraints(g.n, face.constraints, face.basis),
-                  symmetrize(face.basis.T @ link_cost(g, STALL_LINKS) @ face.basis),
-                  INACCURATE, 10 * DEFAULT_TOL),
-                 (ConstraintMap(dim, constraints), constraints,
-                  dense_constraints(dim, constraints), objective, OPTIMAL, DEFAULT_TOL)]
-        for ops, constraints, mats, c, status, tol in cases:
-            sol = solve(ops, c)
+        cases = [(constraints, dense_constraints(dim, constraints), objective,
+                  solve(ConstraintMap(dim, constraints), objective), OPTIMAL, DEFAULT_TOL)]
+        for case, status, tol in ((RANK_LOSS, OPTIMAL, DEFAULT_TOL),
+                                  (STALL, INACCURATE, 10 * DEFAULT_TOL)):
+            g, face, c, sol = face_solve(case)
+            cases.append((face.constraints, dense_constraints(g.n, face.constraints, face.basis),
+                          c, sol, status, tol))
+        for constraints, mats, c, sol, status, tol in cases:
             assert sol.status == status
             b = np.array([bi for _, bi in constraints])
             scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(c))
@@ -305,20 +310,29 @@ class TestSolverProperties:
                 assert got <= tol
 
     def test_face_solve_that_loses_s_returns_relaxed_window(self):
-        # The stalling solve never meets DEFAULT_TOL: S loses its Cholesky
-        # factor on the 31st iteration, long after its 14th iterate opened
-        # the window at 10 * DEFAULT_TOL, and the numerical-failure exit
-        # returns that window's iterate as inaccurate. Heuristic 1 goes on
-        # to color the graph.
-        face, c, sol = stall_face_solve()
-        assert (sol.status, sol.iterations) == (INACCURATE, 31)
+        # Graph #45223's solve never meets DEFAULT_TOL: from the 12th
+        # iteration on, the pivoted Cholesky keeps 24-26 of the 30 Schur rows,
+        # and rel_p stays just above DEFAULT_TOL. S loses its Cholesky factor
+        # on the 35th iteration, long after the 10th iterate opened the window
+        # at 10 * DEFAULT_TOL, and the numerical-failure exit returns that
+        # window's iterate as inaccurate. Heuristic 1 goes on to color the
+        # graph.
+        g, face, c, sol = face_solve(STALL)
+        assert (sol.status, sol.iterations, sol.pivoted_steps) == (INACCURATE, 35, 23)
         assert passes_relaxed(face, c, sol)
-        assert (sol.rel_p, sol.rel_gap) == pytest.approx((1.9e-9, 1.6e-8), rel=0.05)
-        assert sol.rel_d < 1e-15
-        g = parse_plantri_ascii(STALL_LINE)[0]
+        assert (sol.rel_p, sol.rel_gap) == pytest.approx((1.6e-8, 1.76e-8), rel=0.05)
+        assert sol.rel_d < 1e-12
         assert certify_cost(g, chromatic_oracle(g)[1]).verdict
         out = heuristic1(g)
-        assert (out.status, out.solve_count) == ("colored", 6)
+        assert (out.status, out.solve_count) == ("colored", 4)
+        assert out.coloring.assignment == (1, 1, 2, 3, 4, 4, 3, 2, 2, 4, 3, 1, 4)
+        # Graph #7231's solve meets DEFAULT_TOL at its 16th iterate, after two
+        # pivoted steps, and heuristic 1 colors the graph
+        g, face, c, sol = face_solve(RANK_LOSS)
+        assert (sol.status, sol.iterations, sol.pivoted_steps) == (OPTIMAL, 16, 2)
+        assert sol.rel_d < 1e-15
+        out = heuristic1(g)
+        assert (out.status, out.solve_count) == ("colored", 5)
         assert out.coloring.assignment == (1, 1, 2, 4, 1, 3, 3, 4, 2, 2, 3, 4)
         # Heuristic 1's third cost solve on graph #44174 (0-based) of the
         # generated n = 13 corpus keeps both factors and ends optimal, and the
@@ -517,26 +531,26 @@ class TestKernels:
             for mat in (random_pd(rng, dim), symmetrize(q @ q.T)):  # q q^T: I + roundoff
                 h = rng.normal(size=dim)
                 factor = _Factor(mat)
-                assert factor._cho is not None
+                assert factor.kept is None
                 ref = np.linalg.solve(mat, h)
                 assert np.max(np.abs(factor.solve(h) - ref)) <= 1e-10 * np.max(np.abs(ref))
                 # Cholesky is backward stable: the solve is one dpotrs, unrefined
                 cho = lapack.dpotrf(mat, lower=1, clean=0)[0]
                 assert np.array_equal(factor.solve(h), lapack.dpotrs(cho, h, lower=1)[0]), dim
 
-    def test_factor_solves_singular_psd_system_by_lu(self):
+    def test_factor_solves_singular_psd_system_on_its_independent_rows(self):
         rng = np.random.default_rng(20)
         for dim in (5, 40):
             b = rng.normal(size=(dim, dim - 2))
             mat = b @ b.T  # PSD of rank dim - 2
             h = mat @ rng.normal(size=dim)  # consistent right-hand side
             factor = _Factor(mat)
-            assert factor._cho is None
+            assert factor.kept is not None and factor.kept.size == dim - 2
             x = factor.solve(h)
             assert np.max(np.abs(mat @ x - h)) <= 1e-8 * np.max(np.abs(h))
-            # x's null-space part is roundoff amplified by 1/jitter; on the
-            # range of mat it agrees with np.linalg.solve on the restricted,
-            # full-rank system
-            basis = np.linalg.qr(b)[0]
-            coords = np.linalg.solve(basis.T @ mat @ basis, basis.T @ h)
-            assert np.max(np.abs(basis.T @ x - coords)) <= 1e-6 * np.max(np.abs(coords))
+            dropped = np.setdiff1d(np.arange(dim), factor.kept)
+            assert dropped.size == 2 and not x[dropped].any()
+        # a rank-0 matrix ends the solve at the numerical-failure exit
+        for mat in (np.zeros((3, 3)), np.diag([-1.0, 0.0])):
+            with pytest.raises(np.linalg.LinAlgError):
+                _Factor(mat)

@@ -9,7 +9,7 @@ coloring), certify_ktree on the 200 (k, n, seed) triples of acceptance
 criterion 3, and the SVCN solves of fig1 and of the 4-trees on 60, 80 and 100
 vertices (the benchmark's svcn_large items) and on 150 and 400 vertices, where a
 solver stall at scale shows: objective repr, primal and dual rank, status,
-iterations and LU steps. The output depends only on the code under src/ next to
+iterations and pivoted steps. The output depends only on the code under src/ next to
 this file, so checking two commits for parity is one diff:
 
     python tools/parity.py > a.txt        # in one checkout
@@ -80,7 +80,7 @@ def print_svcn(label: str, g) -> None:
     sol = summary.solution
     print(f"svcn {label} objective={summary.objective!r}"
           f" rank={summary.rank_primal}/{summary.rank_dual} status={sol.status}"
-          f" iterations={sol.iterations} lu_steps={sol.lu_steps}")
+          f" iterations={sol.iterations} pivoted_steps={sol.pivoted_steps}")
 
 
 def criterion3_triples() -> list:
